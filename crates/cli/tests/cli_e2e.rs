@@ -281,3 +281,18 @@ fn filter_mode_applies_to_a_single_query_too() {
     assert_eq!(out, "Q0\n", "one line despite three matches");
     assert_eq!(code, 0);
 }
+
+/// Unions run TwigM's transition core, so `--stats=json` reports the
+/// candidates they buffer: two `b`s wait for the later `d`, while with
+/// `d` first each `b` is decided at its start tag.
+#[test]
+fn union_stats_report_buffered_candidates() {
+    let query = "//a[d]/b | //zzz";
+    let (out, err, code) = run_with_stdin(&["--stats=json", query], b"<a><b/><b/><d/></a>");
+    assert_eq!(code, 0);
+    assert_eq!(out, "1\n2\n");
+    assert!(err.contains(r#""peak_candidates":2"#), "{err}");
+    let (out, err, _) = run_with_stdin(&["--stats=json", query], b"<a><d/><b/><b/></a>");
+    assert_eq!(out, "2\n3\n");
+    assert!(err.contains(r#""peak_candidates":0"#), "{err}");
+}

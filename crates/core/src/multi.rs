@@ -12,41 +12,22 @@
 //! Per-event cost is `O(candidates(tag) + wildcard nodes)` instead of
 //! `Σ|Qᵢ|`, which is what makes hundreds of standing queries practical —
 //! the shape YFilter obtains by sharing automaton prefixes.
+//!
+//! Each registered query is one TwigM transition core, the same one
+//! [`crate::TwigM`] runs, so unions and standing queries get its eager
+//! delivery, sorted candidate merge and candidate accounting. This
+//! module only owns the dispatch: the shared index, filter mode and the
+//! result tags.
 
 use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
-use twigm_xpath::Path;
+use twigm_xpath::{NameTest, Path};
 
 use crate::engine::StreamEngine;
-use crate::fxhash::FxHashSet;
-use crate::machine::{MNode, Machine, MachineError};
+use crate::machine::{Machine, MachineError};
 use crate::observe::{MachineObserver, NoopObserver};
-use crate::query::QCond;
+use crate::relevance::Relevance;
 use crate::stats::EngineStats;
-
-/// Encodes a `(query, machine node)` pair into the single `u32` the
-/// [`MachineObserver`] hooks carry: `query << 20 | node`. Machines stay
-/// far below 2²⁰ nodes, so the encoding is lossless for any realistic
-/// query set.
-pub fn encode_obs_node(qid: QueryId, v: usize) -> u32 {
-    debug_assert!(v < (1 << 20), "machine node index exceeds encoding");
-    ((qid as u32) << 20) | (v as u32)
-}
-
-/// Splits an observer node id produced by [`encode_obs_node`] back into
-/// its `(query, machine node)` pair.
-pub fn decode_obs_node(enc: u32) -> (QueryId, usize) {
-    ((enc >> 20) as QueryId, (enc & 0xF_FFFF) as usize)
-}
-
-/// A stack entry, as in [`crate::TwigM`].
-#[derive(Debug, Clone)]
-struct Entry {
-    level: u32,
-    slots: u64,
-    candidates: Vec<u64>,
-    text: String,
-    counts: Vec<u32>,
-}
+use crate::twig::{Ctx, Gauges, ResultSink, TwigCore};
 
 /// Identifies one registered query.
 pub type QueryId = usize;
@@ -60,13 +41,30 @@ pub struct TaggedResult {
     pub node: NodeId,
 }
 
-/// One registered query's runtime state.
-struct QueryState {
-    machine: Machine,
-    stacks: Vec<Vec<Entry>>,
-    emitted: FxHashSet<u64>,
-    /// Sibling counters for positional predicates (node -> by parent level).
-    pos_counts: Vec<Vec<u32>>,
+/// The engine's result sink, pointed at one query at a time: tags each
+/// result with the query and, in filter mode, keeps only the query's
+/// first match per document.
+struct Tagged<'a> {
+    query: QueryId,
+    results: &'a mut Vec<TaggedResult>,
+    filter: bool,
+    matched: &'a mut [bool],
+}
+
+impl ResultSink for Tagged<'_> {
+    #[inline]
+    fn accept(&mut self, node: NodeId) -> bool {
+        let matched = &mut self.matched[self.query];
+        if self.filter && *matched {
+            return false;
+        }
+        *matched = true;
+        self.results.push(TaggedResult {
+            query: self.query,
+            node,
+        });
+        true
+    }
 }
 
 /// A multi-query streaming engine.
@@ -86,24 +84,29 @@ struct QueryState {
 /// assert!(results.iter().any(|r| r.query == audits));
 /// ```
 pub struct MultiTwigM<O: MachineObserver = NoopObserver> {
-    queries: Vec<QueryState>,
+    /// One TwigM core per registered query, indexed by [`QueryId`].
+    cores: Vec<TwigCore>,
     /// The symbol space shared by every registered machine.
     table: SymbolTable,
     /// Dense dispatch: symbol index → (query, machine node) pairs with
     /// that tag, across all registered queries.
-    by_sym: Vec<Vec<(usize, usize)>>,
+    by_sym: Vec<Vec<(QueryId, usize)>>,
     /// Per symbol index: some dispatched node tests attributes.
     attr_syms: Vec<bool>,
     /// Some wildcard node tests attributes.
     attr_wild: bool,
     /// (query, machine node) pairs labelled `*`.
-    wildcards: Vec<(usize, usize)>,
-    /// (query, machine node) pairs that accumulate text.
-    text_nodes: Vec<(usize, usize)>,
+    wildcards: Vec<(QueryId, usize)>,
+    /// Queries with nodes that accumulate text.
+    text_queries: Vec<QueryId>,
+    /// Queries with positional (`[n]`) nodes, whose sibling counters
+    /// reset on every start tag.
+    pos_queries: Vec<QueryId>,
     depth: u32,
     results: Vec<TaggedResult>,
     stats: EngineStats,
-    live_entries: u64,
+    /// Live entries and candidates summed over every core.
+    live: Gauges,
     /// Filtering mode: report at most one match per query per document
     /// and stop evaluating a query once it has matched (YFilter-style
     /// boolean filtering).
@@ -122,20 +125,22 @@ impl MultiTwigM {
 
 impl<O: MachineObserver> MultiTwigM<O> {
     /// Creates an engine with no queries and an attached observer. Hook
-    /// node ids are `(query, node)` pairs packed by [`encode_obs_node`].
+    /// node ids are flat over all registered queries; see
+    /// [`MultiTwigM::query_node`].
     pub fn with_observer(observer: O) -> Self {
         MultiTwigM {
-            queries: Vec::new(),
+            cores: Vec::new(),
             table: SymbolTable::new(),
             by_sym: Vec::new(),
             attr_syms: Vec::new(),
             attr_wild: false,
             wildcards: Vec::new(),
-            text_nodes: Vec::new(),
+            text_queries: Vec::new(),
+            pos_queries: Vec::new(),
             depth: 0,
             results: Vec::new(),
             stats: EngineStats::default(),
-            live_entries: 0,
+            live: Gauges::default(),
             filter_mode: false,
             matched: Vec::new(),
             observer,
@@ -165,56 +170,69 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// Registers a query; returns its id (used to tag results).
     ///
     /// Queries can be added between documents, but not in the middle of
-    /// one (entries for already-open elements would be missing).
+    /// one (entries for already-open elements would be missing): that
+    /// returns [`MachineError::QueryAddedMidDocument`] and leaves the
+    /// engine unchanged.
     pub fn add_query(&mut self, query: &Path) -> Result<QueryId, MachineError> {
-        assert_eq!(
-            self.depth, 0,
-            "queries must be registered between documents"
-        );
-        let machine = Machine::from_path_in(query, &mut self.table)?;
-        let qid = self.queries.len();
-        // Grow the dense tables to the (append-only) shared symbol space.
-        if self.by_sym.len() < self.table.len() {
-            self.by_sym.resize(self.table.len(), Vec::new());
-            self.attr_syms.resize(self.table.len(), false);
+        if self.depth != 0 {
+            return Err(MachineError::QueryAddedMidDocument { depth: self.depth });
         }
+        let machine = Machine::from_path(query)?;
+        let qid = self.cores.len();
         for (v, node) in machine.nodes.iter().enumerate() {
-            match node.sym.index() {
-                Some(i) => {
+            let tests_attrs = !node.start_conds.is_empty();
+            match &node.name {
+                NameTest::Tag(tag) => {
+                    let i = self.table.intern(tag).index().expect("interned");
+                    // The dense tables track the append-only symbol space.
+                    self.by_sym.resize(self.table.len(), Vec::new());
+                    self.attr_syms.resize(self.table.len(), false);
                     self.by_sym[i].push((qid, v));
-                    self.attr_syms[i] |= !node.start_conds.is_empty();
+                    self.attr_syms[i] |= tests_attrs;
                 }
-                None => {
+                NameTest::Wildcard => {
                     self.wildcards.push((qid, v));
-                    self.attr_wild |= !node.start_conds.is_empty();
+                    self.attr_wild |= tests_attrs;
                 }
-            }
-            if node.needs_text {
-                self.text_nodes.push((qid, v));
             }
         }
-        let stacks = vec![Vec::new(); machine.len()];
-        let pos_counts = vec![Vec::new(); machine.len()];
-        self.queries.push(QueryState {
-            machine,
-            stacks,
-            emitted: FxHashSet::default(),
-            pos_counts,
+        if !machine.text_nodes().is_empty() {
+            self.text_queries.push(qid);
+        }
+        if !machine.pos_nodes().is_empty() {
+            self.pos_queries.push(qid);
+        }
+        let obs_base = self.cores.last().map_or(0, |c| {
+            u32::try_from(c.obs_base() as usize + c.machine().len())
+                .expect("fewer than 2^32 machine nodes")
         });
+        self.cores.push(TwigCore::new(machine, obs_base));
         self.matched.push(false);
         Ok(qid)
     }
 
     /// Number of registered queries.
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.cores.len()
     }
 
     /// Total machine-node count summed over every registered query — the
     /// |Q| of Theorem 4.4 for the multi-query machine: its aggregated
     /// `peak_entries` is bounded by this total times the recursion depth.
     pub fn machine_size(&self) -> usize {
-        self.queries.iter().map(|q| q.machine.len()).sum()
+        self.cores.iter().map(|c| c.machine().len()).sum()
+    }
+
+    /// Maps an observer node id back to its `(query, machine node)` pair.
+    /// Ids are flat: a query's nodes follow those of every query
+    /// registered before it. `None` for ids past the last node.
+    pub fn query_node(&self, node: u32) -> Option<(QueryId, usize)> {
+        let qid = self
+            .cores
+            .partition_point(|c| c.obs_base() <= node)
+            .checked_sub(1)?;
+        let v = (node - self.cores[qid].obs_base()) as usize;
+        (v < self.cores[qid].machine().len()).then_some((qid, v))
     }
 
     /// The symbol space shared by every registered machine. Callers
@@ -222,16 +240,6 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// the `_sym` entry points.
     pub fn symbols(&self) -> &SymbolTable {
         &self.table
-    }
-
-    /// Whether a start event with this symbol needs its attributes
-    /// collected by the driver.
-    pub fn needs_attributes(&self, sym: Symbol) -> bool {
-        self.attr_wild
-            || match sym.index() {
-                Some(i) if i < self.attr_syms.len() => self.attr_syms[i],
-                _ => false,
-            }
     }
 
     /// Work counters (aggregated over all queries).
@@ -262,10 +270,11 @@ impl<O: MachineObserver> MultiTwigM<O> {
                             attrs.push(a?);
                         }
                     }
-                    self.start_element_sym(sym, &attrs, tag.level(), tag.id());
+                    self.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
                 }
                 twigm_sax::Event::End(tag) => {
-                    self.end_element_sym(self.table.lookup(tag.name()), tag.level())
+                    let sym = self.table.lookup(tag.name());
+                    self.end_element_sym(sym, tag.name(), tag.level())
                 }
                 twigm_sax::Event::Text(t) => self.text(&t),
                 _ => {}
@@ -274,319 +283,42 @@ impl<O: MachineObserver> MultiTwigM<O> {
         Ok(self.take_tagged_results())
     }
 
-    /// Visits the dispatch list for a symbol: nodes tagged `sym`, then
-    /// wildcard nodes. Borrows only the index fields, so callers can
-    /// mutate `queries`/`stats` while iterating.
-    fn dispatch<'a>(
-        by_sym: &'a [Vec<(usize, usize)>],
-        wildcards: &'a [(usize, usize)],
-        sym: Symbol,
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let tagged: &[(usize, usize)] = match sym.index() {
-            Some(i) if i < by_sym.len() => &by_sym[i],
-            _ => &[],
-        };
-        tagged.iter().copied().chain(wildcards.iter().copied())
-    }
-
-    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
-        let mut slots = 0u64;
-        for &i in &node.start_conds {
-            let ok = match &node.conditions[i] {
-                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
-                QCond::AttrCmp(name, op, lit) => attrs
-                    .iter()
-                    .any(|a| a.name == name && op.eval(&a.value, lit)),
-                QCond::AttrFn(name, func, arg) => attrs
-                    .iter()
-                    .any(|a| a.name == name && func.eval(&a.value, arg)),
-                _ => unreachable!("start_conds holds only attribute conditions"),
-            };
-            if ok {
-                slots |= 1 << i;
-            }
-        }
-        slots
-    }
-
-    /// δs via the string path: one interner lookup, then symbol
-    /// dispatch.
-    pub fn start_element(&mut self, tag: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId) {
-        self.start_element_sym(self.table.lookup(tag), attrs, level, id)
-    }
-
-    /// δs, applied across all registered machines via the shared dense
-    /// index.
-    pub fn start_element_sym(
+    /// Runs `transition` on every `(query, node)` pair dispatched for
+    /// `sym` — the nodes tagged `sym`, then the wildcard nodes — lending
+    /// each core the engine's counters and the result sink pointed at
+    /// its query. In filter mode a query that has matched this document
+    /// is skipped, and one that matches now has its entries discarded.
+    #[inline]
+    fn each_dispatched(
         &mut self,
         sym: Symbol,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
+        mut transition: impl FnMut(&mut TwigCore, usize, &mut Ctx<'_, O, Tagged<'_>>),
     ) {
-        self.stats.start_events += 1;
-        self.depth = level;
-        if O::ENABLED {
-            self.observer.on_start_element(sym, level, id);
-        }
-        // Reset child sibling scopes for positional predicates (the
-        // pos_nodes index is empty for non-positional queries, keeping
-        // this free on the common path).
-        for state in &mut self.queries {
-            for &v in state.machine.pos_nodes() {
-                let counts = &mut state.pos_counts[v];
-                if counts.len() <= level as usize {
-                    counts.resize(level as usize + 1, 0);
-                }
-                counts[level as usize] = 0;
-            }
-        }
-        for (qid, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
-            if self.filter_mode && self.matched[qid] {
+        let tagged: &[(QueryId, usize)] = match sym.index() {
+            Some(i) if i < self.by_sym.len() => &self.by_sym[i],
+            _ => &[],
+        };
+        let mut sink = Tagged {
+            query: 0,
+            results: &mut self.results,
+            filter: self.filter_mode,
+            matched: &mut self.matched,
+        };
+        let mut cx = Ctx {
+            stats: &mut self.stats,
+            live: &mut self.live,
+            observer: &mut self.observer,
+            sink: &mut sink,
+        };
+        for &(qid, v) in tagged.iter().chain(&self.wildcards) {
+            if cx.sink.filter && cx.sink.matched[qid] {
                 continue;
             }
-            let state = &mut self.queries[qid];
-            // Dispatch guarantees the name matches: tag entries by
-            // construction, wildcard entries always.
-            let node = &state.machine.nodes[v];
-            let qualified = match node.parent {
-                None => {
-                    self.stats.qualification_probes += 1;
-                    node.edge.test(level as i64)
-                }
-                Some(p) => {
-                    let mut found = false;
-                    for e in state.stacks[p].iter().rev() {
-                        self.stats.qualification_probes += 1;
-                        if node.edge.test(level as i64 - e.level as i64) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    found
-                }
-            };
-            if !qualified {
-                continue;
-            }
-            let mut slots = Self::initial_slots(node, attrs);
-            if !node.pos_conds.is_empty() {
-                let parent_level = level.saturating_sub(1) as usize;
-                let counts = &mut state.pos_counts[v];
-                if counts.len() <= parent_level {
-                    counts.resize(parent_level + 1, 0);
-                }
-                counts[parent_level] += 1;
-                let position = counts[parent_level];
-                for &(slot, n) in &node.pos_conds {
-                    if position == n {
-                        slots |= 1 << slot;
-                    }
-                }
-            }
-            let mut candidates = Vec::new();
-            if node.is_sol {
-                candidates.push(id.get());
-            }
-            state.stacks[v].push(Entry {
-                level,
-                slots,
-                candidates,
-                text: String::new(),
-                counts: vec![0; node.count_conds.len()],
-            });
-            self.stats.pushes += 1;
-            self.live_entries += 1;
-            if O::ENABLED {
-                self.observer
-                    .on_push(encode_obs_node(qid, v), level, node.is_sol);
-            }
-        }
-        self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
-    }
-
-    /// Character data, routed through the shared text index.
-    pub fn text(&mut self, text: &str) {
-        self.text_at(text, self.depth)
-    }
-
-    /// Character data with an explicit containing level — the entry
-    /// point for prefiltered batch streams, where the internally tracked
-    /// depth can lag behind the document (skipped subtrees never update
-    /// it).
-    pub fn text_at(&mut self, text: &str, level: u32) {
-        for &(qid, v) in &self.text_nodes {
-            if let Some(top) = self.queries[qid].stacks[v].last_mut() {
-                if top.level == level {
-                    top.text.push_str(text);
-                }
-            }
-        }
-    }
-
-    /// Dispatch-relevance of the whole query set over the shared symbol
-    /// table: the union of every registered machine's needs. Computed
-    /// from the shared dense dispatch index, so it stays exact as
-    /// queries are added.
-    pub fn relevance(&self) -> crate::relevance::Relevance {
-        let wants_text = !self.text_nodes.is_empty();
-        let any_positional = self
-            .queries
-            .iter()
-            .any(|q| !q.machine.pos_nodes().is_empty());
-        if !self.wildcards.is_empty() || any_positional {
-            return crate::relevance::Relevance {
-                symbols: None,
-                wants_text,
-            };
-        }
-        crate::relevance::Relevance {
-            symbols: Some(self.by_sym.iter().map(|nodes| !nodes.is_empty()).collect()),
-            wants_text,
-        }
-    }
-
-    /// δe via the string path.
-    pub fn end_element(&mut self, tag: &str, level: u32) {
-        self.end_element_sym(self.table.lookup(tag), level)
-    }
-
-    /// δe, applied across all registered machines via the shared dense
-    /// index.
-    pub fn end_element_sym(&mut self, sym: Symbol, level: u32) {
-        self.stats.end_events += 1;
-        self.depth = level.saturating_sub(1);
-        if O::ENABLED {
-            self.observer.on_end_element(sym, level);
-        }
-        for (qid, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
-            if self.filter_mode && self.matched[qid] {
-                // A matched filter query still needs its stacks unwound so
-                // the engine is clean for the next document; popping by
-                // level keeps that cheap.
-                let state = &mut self.queries[qid];
-                while state.stacks[v].last().is_some_and(|e| e.level == level) {
-                    state.stacks[v].pop();
-                    self.live_entries -= 1;
-                    self.stats.pops += 1;
-                    if O::ENABLED {
-                        // Discarded unevaluated: report as unsatisfied.
-                        self.observer.on_pop(encode_obs_node(qid, v), level, false);
-                    }
-                }
-                continue;
-            }
-            let state = &mut self.queries[qid];
-            let node = &state.machine.nodes[v];
-            let Some(top) = state.stacks[v].last() else {
-                continue;
-            };
-            if top.level != level {
-                continue;
-            }
-            let mut entry = state.stacks[v].pop().expect("checked non-empty");
-            self.stats.pops += 1;
-            self.live_entries -= 1;
-            for &i in &node.text_conds {
-                let ok = match &node.conditions[i] {
-                    QCond::TextExists => !entry.text.is_empty(),
-                    QCond::TextCmp(op, lit) => !entry.text.is_empty() && op.eval(&entry.text, lit),
-                    QCond::TextFn(func, arg) => {
-                        !entry.text.is_empty() && func.eval(&entry.text, arg)
-                    }
-                    _ => unreachable!("text_conds holds only text conditions"),
-                };
-                if ok {
-                    entry.slots |= 1 << i;
-                }
-            }
-            for &(cond, counter, op, n) in &node.count_conds {
-                if op.eval_f64(entry.counts[counter] as f64, n as f64) {
-                    entry.slots |= 1 << cond;
-                }
-            }
-            let satisfied = node.formula.eval(entry.slots);
-            if O::ENABLED {
-                self.observer
-                    .on_pop(encode_obs_node(qid, v), level, satisfied);
-            }
-            if !satisfied {
-                continue;
-            }
-            match node.parent {
-                None => {
-                    for id in entry.candidates {
-                        if self.filter_mode {
-                            if !self.matched[qid] {
-                                self.matched[qid] = true;
-                                self.results.push(TaggedResult {
-                                    query: qid,
-                                    node: NodeId::new(id),
-                                });
-                                self.stats.results += 1;
-                                if O::ENABLED {
-                                    self.observer.on_result(NodeId::new(id));
-                                }
-                            }
-                        } else if state.emitted.insert(id) {
-                            self.results.push(TaggedResult {
-                                query: qid,
-                                node: NodeId::new(id),
-                            });
-                            self.stats.results += 1;
-                            if O::ENABLED {
-                                self.observer.on_result(NodeId::new(id));
-                            }
-                        }
-                    }
-                }
-                Some(p) => {
-                    let slot_bit = 1u64 << node.parent_slot.expect("non-root has a slot");
-                    let parent_counter = node.parent_counter;
-                    let edge = node.edge;
-                    let emitted = &state.emitted;
-                    for e in state.stacks[p].iter_mut() {
-                        self.stats.upload_probes += 1;
-                        if !edge.test(level as i64 - e.level as i64) {
-                            continue;
-                        }
-                        match parent_counter {
-                            Some(ci) => e.counts[ci] += 1,
-                            None => e.slots |= slot_bit,
-                        }
-                        let mut inserted = 0u64;
-                        for &cand in &entry.candidates {
-                            if !emitted.contains(&cand) && !e.candidates.contains(&cand) {
-                                e.candidates.push(cand);
-                                self.stats.candidates_merged += 1;
-                                inserted += 1;
-                            }
-                        }
-                        if O::ENABLED {
-                            self.observer.on_upload(
-                                encode_obs_node(qid, v),
-                                encode_obs_node(qid, p),
-                                inserted,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
-        if level == 1 {
-            for state in &mut self.queries {
-                debug_assert!(state.stacks.iter().all(Vec::is_empty));
-                state.emitted.clear();
-            }
-            self.matched.iter_mut().for_each(|m| *m = false);
-            if O::ENABLED {
-                self.observer.on_document_end();
+            cx.sink.query = qid;
+            let core = &mut self.cores[qid];
+            transition(core, v, &mut cx);
+            if cx.sink.filter && cx.sink.matched[qid] {
+                core.discard(&mut cx);
             }
         }
     }
@@ -598,9 +330,9 @@ impl Default for MultiTwigM {
     }
 }
 
-/// Lets the multi-query engine ride the generic drivers
-/// ([`crate::engine::run_engine`] and the traced variant), e.g. for
-/// *union* queries where per-query tags are irrelevant.
+/// The event interface, shared with the generic drivers
+/// ([`crate::engine::run_engine`], the traced and pipelined variants),
+/// e.g. for *union* queries where per-query tags are irrelevant.
 ///
 /// [`StreamEngine::take_results`] flattens the pending
 /// [`TaggedResult`]s to bare node ids in decision order — the same id
@@ -615,11 +347,12 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        // Method-call syntax resolves to the inherent method.
-        MultiTwigM::start_element(self, tag, attrs, level, id);
-        false
+        let sym = self.table.lookup(tag);
+        self.start_element_sym(sym, tag, attrs, level, id)
     }
 
+    /// δs, applied across all registered machines via the shared dense
+    /// index.
     fn start_element_sym(
         &mut self,
         sym: Symbol,
@@ -628,28 +361,75 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        MultiTwigM::start_element_sym(self, sym, attrs, level, id);
-        false
+        self.stats.start_events += 1;
+        self.depth = level;
+        if O::ENABLED {
+            self.observer.on_start_element(sym, level, id);
+        }
+        for &qid in &self.pos_queries {
+            self.cores[qid].reset_positions(level);
+        }
+        let mut became_candidate = false;
+        self.each_dispatched(sym, |core, v, cx| {
+            became_candidate |= core.start(v, attrs, level, id, cx);
+        });
+        self.live.record_peaks(&mut self.stats);
+        if O::ENABLED {
+            self.observer.on_event_end(&self.stats);
+        }
+        became_candidate
     }
 
     fn text(&mut self, text: &str) {
-        MultiTwigM::text(self, text);
+        self.text_at(text, self.depth)
     }
 
+    /// Character data with an explicit containing level — the entry
+    /// point for prefiltered batch streams, where the internally tracked
+    /// depth can lag behind the document (skipped subtrees never update
+    /// it).
     fn text_at(&mut self, text: &str, level: u32) {
-        MultiTwigM::text_at(self, text, level);
+        for &qid in &self.text_queries {
+            self.cores[qid].text_at(text, level);
+        }
     }
 
-    fn relevance(&self) -> crate::relevance::Relevance {
-        MultiTwigM::relevance(self)
+    /// Dispatch-relevance of the whole query set over the shared symbol
+    /// table: the union of every registered machine's needs, read off
+    /// the shared dispatch index so it stays exact as queries are added.
+    fn relevance(&self) -> Relevance {
+        let skippable = self.wildcards.is_empty() && self.pos_queries.is_empty();
+        Relevance {
+            symbols: skippable.then(|| self.by_sym.iter().map(|n| !n.is_empty()).collect()),
+            wants_text: !self.text_queries.is_empty(),
+        }
     }
 
     fn end_element(&mut self, tag: &str, level: u32) {
-        MultiTwigM::end_element(self, tag, level);
+        let sym = self.table.lookup(tag);
+        self.end_element_sym(sym, tag, level)
     }
 
+    /// δe, applied across all registered machines via the shared dense
+    /// index.
     fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
-        MultiTwigM::end_element_sym(self, sym, level);
+        self.stats.end_events += 1;
+        self.depth = level.saturating_sub(1);
+        if O::ENABLED {
+            self.observer.on_end_element(sym, level);
+        }
+        self.each_dispatched(sym, |core, v, cx| core.end(v, level, cx));
+        self.live.record_peaks(&mut self.stats);
+        if O::ENABLED {
+            self.observer.on_event_end(&self.stats);
+        }
+        if level == 1 {
+            self.cores.iter_mut().for_each(TwigCore::end_document);
+            self.matched.iter_mut().for_each(|m| *m = false);
+            if O::ENABLED {
+                self.observer.on_document_end();
+            }
+        }
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {
@@ -657,7 +437,11 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
     }
 
     fn needs_attributes(&self, sym: Symbol) -> bool {
-        MultiTwigM::needs_attributes(self, sym)
+        self.attr_wild
+            || match sym.index() {
+                Some(i) if i < self.attr_syms.len() => self.attr_syms[i],
+                _ => false,
+            }
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
@@ -669,7 +453,7 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
     }
 
     fn machine_size(&self) -> Option<usize> {
-        Some(self.queries.iter().map(|q| q.machine.len()).sum())
+        Some(MultiTwigM::machine_size(self))
     }
 }
 
@@ -869,5 +653,173 @@ mod filter_tests {
         matched_full.sort_unstable();
         matched_full.dedup();
         assert_eq!(filtered, matched_full);
+    }
+}
+
+#[cfg(test)]
+mod core_tests {
+    use super::*;
+    use crate::engine::run_engine;
+    use crate::twig::TwigM;
+    use twigm_xpath::{parse, parse_union};
+
+    fn union(query: &str) -> MultiTwigM {
+        let mut engine = MultiTwigM::new();
+        for branch in parse_union(query).unwrap() {
+            engine.add_query(&branch).unwrap();
+        }
+        engine
+    }
+
+    /// E11 through a union: once `d` has closed, the `b` is decided at
+    /// its own start tag and no candidate is ever buffered.
+    #[test]
+    fn union_delivers_eagerly_when_the_predicate_comes_first() {
+        let mut engine = union("//a[d]/b | //zzz");
+        engine.start_element("a", &[], 1, NodeId::new(0));
+        engine.start_element("d", &[], 2, NodeId::new(1));
+        engine.end_element("d", 2);
+        assert!(engine.start_element("b", &[], 2, NodeId::new(2)));
+        assert_eq!(
+            engine.take_tagged_results(),
+            vec![TaggedResult {
+                query: 0,
+                node: NodeId::new(2)
+            }]
+        );
+        engine.end_element("b", 2);
+        engine.end_element("a", 1);
+        assert!(engine.take_tagged_results().is_empty(), "no re-emission");
+        assert_eq!(engine.stats().peak_candidates, 0);
+    }
+
+    #[test]
+    fn union_buffers_candidates_until_the_predicate_holds() {
+        let mut engine = union("//a[d]/b | //zzz");
+        let results = engine.run(&b"<a><b/><b/><d/></a>"[..]).unwrap();
+        assert_eq!(results.len(), 2);
+        assert_eq!(engine.stats().peak_candidates, 2);
+    }
+
+    /// A B7-shaped union over nested `listitem`s: predicate-free, so
+    /// every `text` is decided at its start tag. Nothing is buffered, so
+    /// no candidate merge runs (it used to be a quadratic
+    /// `Vec::contains` scan per upload).
+    #[test]
+    fn recursive_union_buffers_no_candidates() {
+        let depth = 40;
+        let mut xml = String::from("<site><description>");
+        for _ in 0..depth {
+            xml.push_str("<parlist><listitem><text/><text/>");
+        }
+        for _ in 0..depth {
+            xml.push_str("</listitem></parlist>");
+        }
+        xml.push_str("</description></site>");
+        let mut engine = union("//description//listitem//text | //zzz");
+        let results = engine.run(xml.as_bytes()).unwrap();
+        assert_eq!(results.len(), 2 * depth);
+        let (ids, _) = run_engine(
+            TwigM::new(&parse("//description//listitem//text").unwrap()).unwrap(),
+            xml.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(
+            results.iter().map(|r| r.node).collect::<Vec<_>>(),
+            ids,
+            "same results, same decision order as TwigM"
+        );
+        assert_eq!(engine.stats().peak_candidates, 0);
+        assert_eq!(engine.stats().candidates_merged, 0);
+    }
+
+    #[test]
+    fn adding_a_query_mid_document_is_an_error() {
+        let mut engine = MultiTwigM::new();
+        engine.add_query(&parse("//a").unwrap()).unwrap();
+        engine.start_element("r", &[], 1, NodeId::new(0));
+        assert_eq!(
+            engine.add_query(&parse("//b").unwrap()),
+            Err(MachineError::QueryAddedMidDocument { depth: 1 })
+        );
+        assert_eq!(engine.query_count(), 1);
+        // The engine is unchanged and still usable.
+        engine.start_element("a", &[], 2, NodeId::new(1));
+        engine.end_element("a", 2);
+        engine.end_element("r", 1);
+        assert_eq!(
+            engine.take_tagged_results(),
+            vec![TaggedResult {
+                query: 0,
+                node: NodeId::new(1)
+            }]
+        );
+        let q1 = engine.add_query(&parse("//b").unwrap()).unwrap();
+        let results = engine.run(&b"<b/>"[..]).unwrap();
+        assert_eq!(
+            results,
+            vec![TaggedResult {
+                query: q1,
+                node: NodeId::new(0)
+            }]
+        );
+    }
+
+    /// Records the node id of every push.
+    #[derive(Default)]
+    struct Pushes(Vec<u32>);
+
+    impl MachineObserver for Pushes {
+        fn on_push(&mut self, node: u32, _level: u32, _is_candidate: bool) {
+            self.0.push(node);
+        }
+    }
+
+    #[test]
+    fn observer_node_ids_stay_distinct_across_many_queries() {
+        let n = 5000;
+        let mut engine = MultiTwigM::with_observer(Pushes::default());
+        for i in 0..n {
+            engine
+                .add_query(&parse(&format!("//tag{i}")).unwrap())
+                .unwrap();
+        }
+        let mut xml = String::from("<r>");
+        for i in 0..n {
+            xml.push_str(&format!("<tag{i}/>"));
+        }
+        xml.push_str("</r>");
+        assert_eq!(engine.run(xml.as_bytes()).unwrap().len(), n);
+        let pushes = &engine.observer().0;
+        assert_eq!(pushes.len(), n);
+        let mut distinct = pushes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), n, "push ids alias");
+        for (i, &node) in pushes.iter().enumerate() {
+            assert_eq!(engine.query_node(node), Some((i, 0)));
+        }
+        assert_eq!(engine.query_node(n as u32), None);
+    }
+
+    #[test]
+    fn query_node_maps_flat_ids_back_across_machine_sizes() {
+        let mut engine = MultiTwigM::new();
+        engine.add_query(&parse("//a[b]/c").unwrap()).unwrap(); // 3 nodes
+        engine.add_query(&parse("//d").unwrap()).unwrap(); // 1 node
+        engine.add_query(&parse("//e/f").unwrap()).unwrap(); // 2 nodes
+        let mapped: Vec<_> = (0..7).map(|id| engine.query_node(id)).collect();
+        assert_eq!(
+            mapped,
+            vec![
+                Some((0, 0)),
+                Some((0, 1)),
+                Some((0, 2)),
+                Some((1, 0)),
+                Some((2, 0)),
+                Some((2, 1)),
+                None
+            ]
+        );
     }
 }

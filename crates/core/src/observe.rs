@@ -19,9 +19,12 @@
 //!
 //! Hooks identify machine nodes by their index in [`crate::Machine`]
 //! (`0 .. machine.len()`). The multi-query engine
-//! [`crate::MultiTwigM`] dispatches many machines at once and encodes
-//! `(query, node)` pairs as `query << 20 | node` — see
-//! [`crate::multi::encode_obs_node`].
+//! [`crate::MultiTwigM`] runs many machines at once and numbers their
+//! nodes in one flat space: a query's node `v` is reported as the total
+//! node count of the queries registered before it plus `v`, so ids never
+//! alias however many queries are registered.
+//! [`crate::MultiTwigM::query_node`] maps an id back to its
+//! `(query, node)` pair.
 
 use twigm_sax::{NodeId, Symbol};
 

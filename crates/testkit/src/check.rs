@@ -4,7 +4,7 @@
 use std::fmt;
 
 use twigm::engine::{run_engine, StreamEngine};
-use twigm::{BranchM, Engine, MultiTwigM, PathM, TwigM};
+use twigm::{BranchM, Engine, EngineStats, MultiTwigM, PathM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
 use twigm_sax::NodeId;
@@ -24,6 +24,9 @@ pub enum ViolationKind {
     Resplit,
     /// A metamorphic rewrite's result-set relation does not hold.
     Metamorphic,
+    /// Two engines that run the same transition core reported different
+    /// work or memory counters.
+    Stats,
     /// Generated XML or query text failed to parse (generator or
     /// parser/printer bug).
     Parse,
@@ -37,6 +40,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Tuples => "tuples",
             ViolationKind::Resplit => "resplit",
             ViolationKind::Metamorphic => "metamorphic",
+            ViolationKind::Stats => "stats",
             ViolationKind::Parse => "parse",
         })
     }
@@ -79,7 +83,8 @@ pub fn oracle_ids(doc: &Document, query: &Path) -> Vec<u64> {
 }
 
 /// Runs one engine to completion and checks it against the expected set
-/// and, when the engine claims one, the Theorem 4.4 bound.
+/// and, when the engine claims one, the Theorem 4.4 bound. Returns the
+/// engine's counters when it ran.
 fn check_engine<E: StreamEngine>(
     engine: E,
     name: &'static str,
@@ -88,7 +93,7 @@ fn check_engine<E: StreamEngine>(
     expected: &[u64],
     depth: u64,
     out: &mut Vec<Violation>,
-) {
+) -> Option<EngineStats> {
     let (ids, engine) = match run_engine(engine, xml) {
         Ok(pair) => pair,
         Err(e) => {
@@ -98,7 +103,7 @@ fn check_engine<E: StreamEngine>(
                 query: query.to_string(),
                 detail: format!("engine run failed on oracle-parseable XML: {e}"),
             });
-            return;
+            return None;
         }
     };
     let ids = sorted(ids);
@@ -130,6 +135,101 @@ fn check_engine<E: StreamEngine>(
             });
         }
     }
+    Some(engine.stats().clone())
+}
+
+/// The counters fixed by the TwigM transitions alone, independent of
+/// the owner's event dispatch.
+fn core_counters(s: &EngineStats) -> [(&'static str, u64); 7] {
+    [
+        ("pushes", s.pushes),
+        ("pops", s.pops),
+        ("upload_probes", s.upload_probes),
+        ("candidates_merged", s.candidates_merged),
+        ("peak_entries", s.peak_entries),
+        ("peak_candidates", s.peak_candidates),
+        ("results", s.results),
+    ]
+}
+
+/// Checks `MultiTwigM`, which runs TwigM's transition core behind a
+/// shared dispatch index. With the query registered once it must match
+/// TwigM counter for counter (`twig`); registered twice, so that every
+/// dispatch list holds colliding machines, each copy's results must
+/// still equal the oracle's. Either way the aggregated peak respects
+/// the summed-|Q| bound.
+fn check_multi(
+    xml: &[u8],
+    query: &Path,
+    expected: &[u64],
+    depth: u64,
+    twig: Option<&EngineStats>,
+    out: &mut Vec<Violation>,
+) {
+    for copies in [1, 2] {
+        let mut multi = MultiTwigM::new();
+        if (0..copies).any(|_| multi.add_query(query).is_err()) {
+            return;
+        }
+        let results = match multi.run(xml) {
+            Ok(results) => results,
+            Err(e) => {
+                out.push(Violation {
+                    kind: ViolationKind::Parse,
+                    engine: "MultiTwigM",
+                    query: query.to_string(),
+                    detail: format!("run failed: {e}"),
+                });
+                return;
+            }
+        };
+        for copy in 0..copies {
+            let ids = sorted(
+                results
+                    .iter()
+                    .filter(|r| r.query == copy)
+                    .map(|r| r.node)
+                    .collect(),
+            );
+            if ids != expected {
+                out.push(Violation {
+                    kind: ViolationKind::Divergence,
+                    engine: "MultiTwigM",
+                    query: query.to_string(),
+                    detail: format!("copy {copy} of {copies}: expected {expected:?}, got {ids:?}"),
+                });
+            }
+        }
+        let stats = multi.stats();
+        let bound = multi.machine_size() as u64 * depth;
+        if stats.peak_entries > bound {
+            out.push(Violation {
+                kind: ViolationKind::Bound,
+                engine: "MultiTwigM",
+                query: query.to_string(),
+                detail: format!(
+                    "peak_entries {} > |Q|*R = {}*{depth}",
+                    stats.peak_entries,
+                    multi.machine_size()
+                ),
+            });
+        }
+        match twig {
+            Some(twig) if copies == 1 && core_counters(stats) != core_counters(twig) => {
+                out.push(Violation {
+                    kind: ViolationKind::Stats,
+                    engine: "MultiTwigM",
+                    query: query.to_string(),
+                    detail: format!(
+                        "TwigM {:?}, MultiTwigM {:?}",
+                        core_counters(twig),
+                        core_counters(stats)
+                    ),
+                });
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Differentially checks every applicable engine on one (document,
@@ -139,7 +239,7 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
     let expected = oracle_ids(doc, query);
     let depth = doc.depth() as u64;
 
-    match TwigM::new(query) {
+    let twig_stats = match TwigM::new(query) {
         Ok(e) => check_engine(e, "TwigM", xml, query, &expected, depth, &mut out),
         Err(e) => {
             out.push(Violation {
@@ -150,7 +250,7 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
             });
             return out;
         }
-    }
+    };
     if let Ok(e) = Engine::new(query) {
         check_engine(e, "Engine", xml, query, &expected, depth, &mut out);
     }
@@ -173,43 +273,7 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
         }
     }
 
-    // The multi-query machine with a single registered query must agree
-    // too, and its aggregated peak respects the summed-|Q| bound.
-    let mut multi = MultiTwigM::new();
-    if multi.add_query(query).is_ok() {
-        match multi.run(xml) {
-            Ok(results) => {
-                let ids = sorted(results.into_iter().map(|r| r.node).collect());
-                if ids != expected {
-                    out.push(Violation {
-                        kind: ViolationKind::Divergence,
-                        engine: "MultiTwigM",
-                        query: query.to_string(),
-                        detail: format!("expected {expected:?}, got {ids:?}"),
-                    });
-                }
-                let bound = multi.machine_size() as u64 * depth;
-                if multi.stats().peak_entries > bound {
-                    out.push(Violation {
-                        kind: ViolationKind::Bound,
-                        engine: "MultiTwigM",
-                        query: query.to_string(),
-                        detail: format!(
-                            "peak_entries {} > |Q|*R = {}*{depth}",
-                            multi.stats().peak_entries,
-                            multi.machine_size()
-                        ),
-                    });
-                }
-            }
-            Err(e) => out.push(Violation {
-                kind: ViolationKind::Parse,
-                engine: "MultiTwigM",
-                query: query.to_string(),
-                detail: format!("run failed: {e}"),
-            }),
-        }
-    }
+    check_multi(xml, query, &expected, depth, twig_stats.as_ref(), &mut out);
     out
 }
 

@@ -39,6 +39,14 @@ fi
 echo "==> corpus replay: shrunk past failures stay fixed"
 target/release/testkit-fuzz --replay tests/corpus
 
+# Filtering smoke (E10): MultiTwigM's shared dispatch over 1..256
+# standing queries must return exactly the results of as many separate
+# TwigM engines (the binary asserts it at every N) — the one check of
+# many-query MultiTwigM on real Book data.
+echo "==> filtering smoke: shared dispatch agrees with separate engines"
+cargo build --release -p twigm-bench
+target/release/ablation_filtering --scale 0.05
+
 # Observability smoke: drive the CLI with every telemetry flag on a
 # Figure-2-style query, then schema-check the artifacts with the
 # testkit validators, and hold the observer layer to its zero-cost
