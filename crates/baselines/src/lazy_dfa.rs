@@ -15,7 +15,7 @@ use twigm::engine::StreamEngine;
 use twigm::fxhash::FxHashMap;
 use twigm::machine::MachineError;
 use twigm::stats::EngineStats;
-use twigm_sax::{Attribute, NodeId};
+use twigm_sax::{Attribute, NodeId, Symbol};
 use twigm_xpath::{Axis, NameTest, Path};
 
 /// One NFA position: `j` means "steps `0..j` matched".
@@ -127,16 +127,18 @@ impl LazyDfa {
 }
 
 impl StreamEngine for LazyDfa {
+    /// Transitions on the tag name: the DFA has no symbol table.
     fn start_element(
         &mut self,
-        tag: &str,
+        _sym: Symbol,
+        name: &str,
         _attrs: &[Attribute<'_>],
         _level: u32,
         id: NodeId,
     ) -> bool {
         self.stats.start_events += 1;
         let current = *self.stack.last().expect("stack holds the initial state");
-        let next = self.transition(current, tag);
+        let next = self.transition(current, name);
         self.stack.push(next);
         self.stats.pushes += 1;
         self.stats.peak_entries = self.stats.peak_entries.max(self.stack.len() as u64);
@@ -149,7 +151,7 @@ impl StreamEngine for LazyDfa {
         }
     }
 
-    fn end_element(&mut self, _tag: &str, _level: u32) {
+    fn end_element(&mut self, _sym: Symbol, _name: &str, _level: u32) {
         self.stats.end_events += 1;
         self.stack.pop();
         self.stats.pops += 1;

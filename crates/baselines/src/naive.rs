@@ -48,7 +48,6 @@ pub struct NaiveEnum {
     stacks: Vec<Vec<MatchEntry>>,
     /// Sibling counters for positional predicates (node -> by parent level).
     pos_counts: Vec<Vec<u32>>,
-    depth: u32,
     emitted: FxHashSet<u64>,
     results: Vec<NodeId>,
     stats: EngineStats,
@@ -65,7 +64,6 @@ impl NaiveEnum {
             machine,
             stacks,
             pos_counts,
-            depth: 0,
             emitted: FxHashSet::default(),
             results: Vec::new(),
             stats: EngineStats::default(),
@@ -87,13 +85,41 @@ impl NaiveEnum {
         self.machine.len()
     }
 
+    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
+        let mut slots = 0u64;
+        for &i in &node.start_conds {
+            let ok = match &node.conditions[i] {
+                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
+                QCond::AttrCmp(name, op, lit) => attrs
+                    .iter()
+                    .any(|a| a.name == name && op.eval(&a.value, lit)),
+                QCond::AttrFn(name, func, arg) => attrs
+                    .iter()
+                    .any(|a| a.name == name && func.eval(&a.value, arg)),
+                _ => unreachable!("start_conds holds only attribute conditions"),
+            };
+            if ok {
+                slots |= 1 << i;
+            }
+        }
+        slots
+    }
+}
+
+impl StreamEngine for NaiveEnum {
     /// δs on an interned symbol. Dispatch visits the symbol's tag list,
     /// then the wildcard list; edges have distance ≥ 1, so same-level
     /// entries never interact within one event and the visit order
     /// relative to the old ascending scan is immaterial.
-    fn start_sym(&mut self, sym: Symbol, attrs: &[Attribute<'_>], level: u32, id: NodeId) -> bool {
+    fn start_element(
+        &mut self,
+        sym: Symbol,
+        _name: &str,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+    ) -> bool {
         self.stats.start_events += 1;
-        self.depth = level;
         // Reset child sibling scopes for positional predicates.
         for &v in self.machine.pos_nodes() {
             let counts = &mut self.pos_counts[v];
@@ -194,9 +220,8 @@ impl NaiveEnum {
     }
 
     /// δe on an interned symbol.
-    fn end_sym(&mut self, sym: Symbol, level: u32) {
+    fn end_element(&mut self, sym: Symbol, _name: &str, level: u32) {
         self.stats.end_events += 1;
-        self.depth = level.saturating_sub(1);
         let n_tag = self.machine.tag_nodes(sym).len();
         let n_wild = self.machine.wildcards().len();
         for i in 0..n_tag + n_wild {
@@ -271,68 +296,16 @@ impl NaiveEnum {
         }
     }
 
-    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
-        let mut slots = 0u64;
-        for &i in &node.start_conds {
-            let ok = match &node.conditions[i] {
-                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
-                QCond::AttrCmp(name, op, lit) => attrs
-                    .iter()
-                    .any(|a| a.name == name && op.eval(&a.value, lit)),
-                QCond::AttrFn(name, func, arg) => attrs
-                    .iter()
-                    .any(|a| a.name == name && func.eval(&a.value, arg)),
-                _ => unreachable!("start_conds holds only attribute conditions"),
-            };
-            if ok {
-                slots |= 1 << i;
-            }
-        }
-        slots
-    }
-}
-
-impl StreamEngine for NaiveEnum {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(self.machine.symbols().lookup(tag), attrs, level, id)
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        _tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(sym, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
+    fn text(&mut self, text: &str, level: u32) {
         for &v in self.machine.text_nodes() {
-            // All matches of the innermost element accumulate text.
-            let depth = self.depth;
+            // All matches of the containing element accumulate text.
             for e in self.stacks[v].iter_mut().rev() {
-                if e.level != depth {
+                if e.level != level {
                     break;
                 }
                 e.text.push_str(text);
             }
         }
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.end_sym(self.machine.symbols().lookup(tag), level)
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
-        self.end_sym(sym, level)
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {

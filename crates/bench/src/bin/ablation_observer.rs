@@ -5,11 +5,12 @@
 //! through `TwigM` five ways:
 //!
 //! * **plain** — `run_engine` with the default [`NoopObserver`]: the
-//!   pre-observability hot path (no byte/event accounting, hooks
-//!   monomorphized away);
-//! * **traced** — `run_engine_traced` with `NoopObserver`: the
-//!   telemetry driver (byte/event/depth accounting) but still no
-//!   observer, i.e. what `--stats=json` pays before any hooks fire;
+//!   event driver with its no-op driver observer (no byte/event
+//!   accounting, every hook monomorphized away);
+//! * **traced** — `run_engine_traced` with `NoopObserver`: the same
+//!   driver with the telemetry driver observer (byte/event/depth
+//!   accounting) but still no machine observer, i.e. what
+//!   `--stats=json` pays before any machine hook fires;
 //! * **counting** — [`CountingObserver`], the minimal real observer
 //!   (one integer increment per hook);
 //! * **metrics** — [`MetricsObserver`], histogram recording per
@@ -21,9 +22,9 @@
 //! doubles as an observer-transparency differential check on real
 //! benchmark data.
 //!
-//! With `OBS_ABLATION_GATE=<pct>` set, exits non-zero unless the traced
-//! driver (NoopObserver) stays within `<pct>` percent of the plain hot
-//! path, comparing min-of-repeats summed over the whole query corpus —
+//! With `OBS_ABLATION_GATE=<pct>` set, exits non-zero unless the
+//! telemetry driver observer stays within `<pct>` percent of the no-op
+//! one on the same driver, comparing min-of-repeats summed over the whole query corpus —
 //! the CI obs-smoke stage runs this with 2.
 //!
 //! Usage: `cargo run -p twigm-bench --release --bin ablation_observer`
@@ -42,7 +43,7 @@ use twigm_xpath::Path;
 /// Records per transition but keeps memory bounded on big documents.
 const TRACER_LIMIT: usize = 1 << 20;
 
-/// One pass through the plain (pre-telemetry) driver.
+/// One pass through the event driver with the no-op driver observer.
 fn plain_pass<O: MachineObserver>(engine: TwigM<O>, xml: &[u8]) -> (Duration, u64, u64) {
     let start = Instant::now();
     let (ids, engine) = run_engine(engine, xml).expect("valid xml");
@@ -55,7 +56,8 @@ fn plain_pass<O: MachineObserver>(engine: TwigM<O>, xml: &[u8]) -> (Duration, u6
     )
 }
 
-/// One pass through the telemetry driver (no progress callbacks).
+/// One pass through the event driver with the telemetry driver observer
+/// (no progress callbacks).
 fn traced_pass<O: MachineObserver>(engine: TwigM<O>, xml: &[u8]) -> (Duration, u64, u64) {
     let start = Instant::now();
     let (ids, engine, _telemetry) = run_engine_traced(engine, xml, 0, |_| {}).expect("valid xml");
@@ -210,21 +212,21 @@ fn main() {
         }
     }
     println!();
-    println!("plain   = run_engine, NoopObserver (the pre-observability hot path);");
-    println!("traced  = run_engine_traced, NoopObserver (telemetry accounting only);");
+    println!("plain   = run_engine, NoopObserver (no-op driver observer);");
+    println!("traced  = run_engine_traced, NoopObserver (telemetry driver observer);");
     println!("others  = run_engine with the named observer attached.");
 
     if let Some(pct) = gate {
         let overhead = (gate_traced.as_secs_f64() / gate_plain.as_secs_f64() - 1.0) * 100.0;
         if overhead <= pct {
             println!(
-                "gate: traced NoopObserver driver is {overhead:+.1}% vs the plain hot \
-                 path over the corpus (gate {pct}%) — OK"
+                "gate: telemetry driver observer is {overhead:+.1}% vs the no-op one \
+                 over the corpus (gate {pct}%) — OK"
             );
         } else {
             eprintln!(
-                "gate FAIL: traced NoopObserver driver is {overhead:+.1}% slower than \
-                 the plain hot path over the corpus (gate {pct}%)"
+                "gate FAIL: telemetry driver observer is {overhead:+.1}% slower than \
+                 the no-op one over the corpus (gate {pct}%)"
             );
             std::process::exit(1);
         }

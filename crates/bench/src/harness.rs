@@ -2,10 +2,11 @@
 //! paper's timing protocol, and table formatting.
 
 use std::io::Read;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use twigm::{EngineStats, StreamEngine};
-use twigm_sax::{Attribute, SaxError, SaxReader, Symbol};
+use twigm::{drive, DriverObserver, EngineStats, StreamEngine};
+use twigm_sax::{SaxError, SaxReader};
 
 /// How one (system, query, dataset) run ended.
 #[derive(Debug, Clone)]
@@ -36,58 +37,57 @@ pub struct MeasuredRun {
     pub peak_bytes: Option<u64>,
 }
 
-/// Streams the whole file through `engine`, checking the deadline every
-/// few thousand events. Returns `None` on deadline expiry.
+/// The driver observer of [`run_stream_with_deadline`]: every
+/// [`DEADLINE_EVERY`] events it drains the engine's results (keeping
+/// result buffers small) and stops the drive once the deadline passed.
+struct Deadline {
+    at: Option<Instant>,
+    events: u64,
+    results: u64,
+    expired: bool,
+}
+
+/// Events between deadline checks.
+const DEADLINE_EVERY: u64 = 8192;
+
+impl DriverObserver for Deadline {
+    fn after_event<E: StreamEngine + ?Sized>(
+        &mut self,
+        engine: &mut E,
+        _depth: u32,
+        _offset: u64,
+    ) -> ControlFlow<()> {
+        self.events += 1;
+        if self.events.is_multiple_of(DEADLINE_EVERY) {
+            self.results += engine.take_results().len() as u64;
+            self.expired = self.at.is_some_and(|at| Instant::now() > at);
+            if self.expired {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// Streams the whole file through `engine` on the event driver, checking
+/// the deadline every few thousand events. Returns the result count, or
+/// `None` on deadline expiry.
 pub fn run_stream_with_deadline<E: StreamEngine, R: Read>(
     engine: &mut E,
     src: R,
     deadline: Option<Instant>,
 ) -> Result<Option<u64>, SaxError> {
-    // Same symbol-dispatch loop as `twigm::engine::run_engine`: snapshot
-    // the interner once, one FxHash lookup per event, attributes decoded
-    // only when a dispatched machine node tests them.
-    let table = engine.symbols().cloned();
-    let mut reader = SaxReader::new(src);
-    let mut events: u64 = 0;
-    let mut results: u64 = 0;
-    while let Some(event) = reader.next_event()? {
-        match event {
-            twigm_sax::Event::Start(tag) => {
-                let sym = match &table {
-                    Some(t) => t.lookup(tag.name()),
-                    None => Symbol::UNKNOWN,
-                };
-                let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                if table.is_none() || engine.needs_attributes(sym) {
-                    for a in tag.attributes() {
-                        attrs.push(a?);
-                    }
-                }
-                if table.is_some() {
-                    engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                } else {
-                    engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                }
-            }
-            twigm_sax::Event::End(tag) => match &table {
-                Some(t) => engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level()),
-                None => engine.end_element(tag.name(), tag.level()),
-            },
-            twigm_sax::Event::Text(t) => engine.text(&t),
-            _ => {}
-        }
-        events += 1;
-        if events.is_multiple_of(8192) {
-            results += engine.take_results().len() as u64;
-            if let Some(d) = deadline {
-                if Instant::now() > d {
-                    return Ok(None);
-                }
-            }
-        }
+    let mut observer = Deadline {
+        at: deadline,
+        events: 0,
+        results: 0,
+        expired: false,
+    };
+    drive(engine, &mut SaxReader::new(src), &mut observer)?;
+    if observer.expired {
+        return Ok(None);
     }
-    results += engine.take_results().len() as u64;
-    Ok(Some(results))
+    Ok(Some(observer.results + engine.take_results().len() as u64))
 }
 
 /// The paper's protocol (§5.1): repeat, discard min and max, average the

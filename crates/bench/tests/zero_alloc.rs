@@ -37,8 +37,8 @@ fn non_matching_start_tag_allocates_nothing() {
     // empty dispatch list means no stack touches, no pushes, nothing.
     let baseline = CountingAllocator::reset_peak();
     for i in 0..1_000u64 {
-        engine.start_element_sym(unknown, "never-mentioned", &[], 1, NodeId::new(i));
-        engine.end_element_sym(unknown, "never-mentioned", 1);
+        engine.start_element(unknown, "never-mentioned", &[], 1, NodeId::new(i));
+        engine.end_element(unknown, "never-mentioned", 1);
     }
     assert_eq!(
         CountingAllocator::peak(),
@@ -54,8 +54,8 @@ fn non_matching_start_tag_allocates_nothing() {
     assert!(d.is_known());
     let baseline = CountingAllocator::reset_peak();
     for i in 0..1_000u64 {
-        engine.start_element_sym(d, "d", &[], 1, NodeId::new(i));
-        engine.end_element_sym(d, "d", 1);
+        engine.start_element(d, "d", &[], 1, NodeId::new(i));
+        engine.end_element(d, "d", 1);
     }
     assert_eq!(
         CountingAllocator::peak(),

@@ -5,7 +5,7 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use twigm::attrs::AttrCollector;
-use twigm::engine::{run_engine, run_engine_traced};
+use twigm::engine::{drive, NoTelemetry, StreamProgress, Telemetry};
 use twigm::fragments::FragmentCollector;
 use twigm::multi::MultiTwigM;
 use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, PipelineOptions};
@@ -15,7 +15,7 @@ use twigm::{
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_obs::trace::TransitionTracer;
 use twigm_obs::{format_progress, StatsReport};
-use twigm_sax::NodeId;
+use twigm_sax::{NodeId, SaxReader};
 use twigm_xpath::Path;
 
 use crate::args::{Args, EngineChoice, OutputMode, StatsMode};
@@ -35,7 +35,7 @@ fn engine_flag_name(machine_name: &str) -> &str {
 }
 
 /// Wall-clock measurements of one run, alongside the driver's stream
-/// accounting when the traced driver was used.
+/// accounting when the telemetry observer was on.
 struct RunMeta {
     telemetry: Option<StreamTelemetry>,
     duration: Duration,
@@ -43,33 +43,33 @@ struct RunMeta {
     pipeline: Option<PipelineStats>,
 }
 
-/// The engine after a drive, plus everything measured along the way.
+/// The engine after a stream, plus everything measured along the way.
 struct DriveOutcome<E> {
     ids: Vec<NodeId>,
     engine: E,
     meta: RunMeta,
 }
 
-/// Whether this invocation needs the traced driver (byte/event
+/// Whether this invocation needs the telemetry observer (byte/event
 /// accounting, first-result latency, progress callbacks).
 fn wants_telemetry(args: &Args) -> bool {
     args.progress || matches!(args.stats, StatsMode::Json | StatsMode::Pretty)
 }
 
-/// Streams `input` through `engine`, choosing the plain or the traced
-/// driver depending on what the flags need. The plain driver is the
-/// default so `--stats` (text) keeps the exact pre-telemetry hot path.
-fn drive<E: StreamEngine>(
+/// Streams `input` through `engine` on the batched pipeline when
+/// `--threads` asks for it, else on the serial driver, and drains the
+/// results.
+fn stream<E: StreamEngine>(
     args: &Args,
-    engine: E,
+    mut engine: E,
     input: &mut (dyn Read + Send),
 ) -> Result<DriveOutcome<E>, String> {
-    let start = Instant::now();
     if args.threads > 1 {
         // Batched producer/consumer pipeline. Args::parse restricts
         // `--threads` to modes the batch driver can serve (ids/count,
-        // machine engines, no trace/progress), so the telemetry and
-        // traced paths below never combine with it.
+        // machine engines, no trace/progress), so telemetry never
+        // combines with it.
+        let start = Instant::now();
         let opts = PipelineOptions::default();
         let (ids, engine, pipeline) =
             run_engine_pipelined(engine, input, &opts).map_err(|e| e.to_string())?;
@@ -84,10 +84,26 @@ fn drive<E: StreamEngine>(
             },
         });
     }
-    if wants_telemetry(args) {
-        let mut first: Option<Duration> = None;
+    let meta = stream_serial(args, &mut engine, input)?;
+    let ids = engine.take_results();
+    Ok(DriveOutcome { ids, engine, meta })
+}
+
+/// Streams `input` through `engine` on the event driver, with the
+/// telemetry observer when the flags need it and the no-op one
+/// otherwise, so `--stats` (text) keeps the unobserved hot path. The
+/// results stay in the engine.
+fn stream_serial<E: StreamEngine + ?Sized>(
+    args: &Args,
+    engine: &mut E,
+    input: &mut (dyn Read + Send),
+) -> Result<RunMeta, String> {
+    let start = Instant::now();
+    let mut reader = SaxReader::new(input);
+    let mut first: Option<Duration> = None;
+    let telemetry = if wants_telemetry(args) {
         let mut next_heartbeat = PROGRESS_INTERVAL;
-        let (ids, engine, telemetry) = run_engine_traced(engine, input, 1, |p| {
+        let mut observer = Telemetry::new(1, |p: &StreamProgress| {
             if first.is_none() && p.results > 0 {
                 first = Some(start.elapsed());
             }
@@ -95,31 +111,19 @@ fn drive<E: StreamEngine>(
                 next_heartbeat = p.events + PROGRESS_INTERVAL;
                 eprintln!("twigm: {}", format_progress(p, start.elapsed()));
             }
-        })
-        .map_err(|e| e.to_string())?;
-        Ok(DriveOutcome {
-            ids,
-            engine,
-            meta: RunMeta {
-                telemetry: Some(telemetry),
-                duration: start.elapsed(),
-                time_to_first_result: first,
-                pipeline: None,
-            },
-        })
+        });
+        drive(engine, &mut reader, &mut observer).map_err(|e| e.to_string())?;
+        Some(observer.finish(reader.offset()))
     } else {
-        let (ids, engine) = run_engine(engine, input).map_err(|e| e.to_string())?;
-        Ok(DriveOutcome {
-            ids,
-            engine,
-            meta: RunMeta {
-                telemetry: None,
-                duration: start.elapsed(),
-                time_to_first_result: None,
-                pipeline: None,
-            },
-        })
-    }
+        drive(engine, &mut reader, &mut NoTelemetry).map_err(|e| e.to_string())?;
+        None
+    };
+    Ok(RunMeta {
+        telemetry,
+        duration: start.elapsed(),
+        time_to_first_result: first,
+        pipeline: None,
+    })
 }
 
 /// Runs a single query, prints per `args.output`, returns the match
@@ -187,7 +191,7 @@ pub fn run_single(
 }
 
 /// A `a | b` union: every branch compiles into the multi-query engine
-/// and the result sets merge. Rides the same drive/stats path as the
+/// and the result sets merge. Rides the same stream/stats path as the
 /// single-query modes, so `--stats`/`--progress` work here too.
 fn run_union(
     args: &Args,
@@ -211,7 +215,7 @@ fn run_union(
     for branch in branches {
         engine.add_query(branch).map_err(|e| e.to_string())?;
     }
-    let outcome = drive(args, engine, input)?;
+    let outcome = stream(args, engine, input)?;
     // Set-union semantics: sort into document order, drop ids matched
     // by several branches.
     let mut ids = outcome.ids;
@@ -309,7 +313,7 @@ fn run_traced(
     };
     let name = engine_flag_name(engine.machine_name());
     let machine = engine.machine().clone();
-    let outcome = drive(args, engine, input)?;
+    let outcome = stream(args, engine, input)?;
     match args.output {
         OutputMode::Count => {
             writeln!(out, "{}", outcome.ids.len()).map_err(|e| e.to_string())?;
@@ -358,7 +362,7 @@ fn run_streaming<E: StreamEngine>(
         OutputMode::Values => {
             let attr = attr.expect("validated in run_single");
             let collector = AttrCollector::new(engine, attr);
-            let outcome = drive(args, collector, input)?;
+            let outcome = stream(args, collector, input)?;
             let mut collector = outcome.engine;
             let values = collector.take_values();
             let count = values.len() as u64;
@@ -376,7 +380,7 @@ fn run_streaming<E: StreamEngine>(
         }
         OutputMode::Fragments => {
             let collector = FragmentCollector::new(engine);
-            let outcome = drive(args, collector, input)?;
+            let outcome = stream(args, collector, input)?;
             let mut collector = outcome.engine;
             let fragments = collector.take_fragments();
             let count = fragments.len() as u64;
@@ -393,7 +397,7 @@ fn run_streaming<E: StreamEngine>(
             Ok(count)
         }
         OutputMode::Ids => {
-            let outcome = drive(args, engine, input)?;
+            let outcome = stream(args, engine, input)?;
             for id in &outcome.ids {
                 writeln!(out, "{id}").map_err(io_err)?;
             }
@@ -408,7 +412,7 @@ fn run_streaming<E: StreamEngine>(
             Ok(outcome.ids.len() as u64)
         }
         OutputMode::Count => {
-            let outcome = drive(args, engine, input)?;
+            let outcome = stream(args, engine, input)?;
             writeln!(out, "{}", outcome.ids.len()).map_err(io_err)?;
             let engine = outcome.engine;
             report_stats(
@@ -472,12 +476,6 @@ pub fn run_multi(
     if args.engine != EngineChoice::Auto && args.engine != EngineChoice::Twig {
         return Err("multiple queries run on the TwigM engine only".into());
     }
-    if args.progress {
-        // Tagged results only surface through MultiTwigM::run, which the
-        // traced driver (whose results are untagged ids) cannot drive.
-        return Err("--progress is not supported with multiple queries".into());
-    }
-    let start = Instant::now();
     let mut engine = MultiTwigM::new();
     if args.filter {
         engine = engine.filter_mode();
@@ -486,7 +484,8 @@ pub fn run_multi(
         let query = parse_query(q)?;
         engine.add_query(&query).map_err(|e| e.to_string())?;
     }
-    let results = engine.run(input).map_err(|e| e.to_string())?;
+    let meta = stream_serial(args, &mut engine, input)?;
+    let results = engine.take_tagged_results();
     let count = results.len() as u64;
     match args.output {
         OutputMode::Count => {
@@ -508,12 +507,7 @@ pub fn run_multi(
         "multi",
         engine.stats(),
         StreamEngine::machine_size(&engine),
-        &RunMeta {
-            telemetry: None,
-            duration: start.elapsed(),
-            time_to_first_result: None,
-            pipeline: None,
-        },
+        &meta,
     );
     Ok(count)
 }
@@ -524,7 +518,7 @@ fn parse_query(text: &str) -> Result<Path, String> {
 
 /// Emits the stats in the selected mode on stderr. `Text` keeps the
 /// historic one-line format; `Json`/`Pretty` render a [`StatsReport`]
-/// with throughput and latency from the traced driver.
+/// with throughput and latency from the telemetry observer.
 fn report_stats(
     args: &Args,
     engine: &str,
@@ -625,8 +619,8 @@ mod tests {
 
     #[test]
     fn stats_json_does_not_change_output() {
-        // The traced driver must produce the same results as the plain
-        // one for every output mode.
+        // The telemetry observer must not change the results, in any
+        // output mode.
         let xml = r#"<r><a k="1"><b>x</b></a><a k="2"/></r>"#;
         for mode in [&["-c", "//a[b]"][..], &["--fragments", "//a[b]"][..]] {
             let plain = run(mode, xml);

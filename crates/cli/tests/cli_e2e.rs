@@ -296,3 +296,34 @@ fn union_stats_report_buffered_candidates() {
     assert_eq!(out, "2\n3\n");
     assert!(err.contains(r#""peak_candidates":0"#), "{err}");
 }
+
+/// Standing-query mode runs the telemetry driver observer too: progress
+/// heartbeats on a large input, and a `--stats=json` report that passes
+/// the schema validator with the whole input accounted for.
+#[test]
+fn multi_query_mode_reports_progress_and_telemetry() {
+    // ~30k events: more than one 4096-event heartbeat.
+    let mut xml = String::from("<r>");
+    for _ in 0..5000 {
+        xml.push_str("<a><b/></a>");
+    }
+    xml.push_str("</r>\n");
+    let (out, err, code) = run_with_stdin(
+        &["-q", "//a", "-q", "//b", "--progress", "--stats=json"],
+        xml.as_bytes(),
+    );
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(out.lines().count(), 10_000);
+    assert!(
+        err.lines().any(|l| l.starts_with("twigm: progress:")),
+        "no heartbeat: {err}"
+    );
+    let json_line = err
+        .lines()
+        .find(|l| l.contains("twigm-stats-v1"))
+        .unwrap_or_else(|| panic!("no stats json on stderr: {err}"));
+    twigm_testkit::obsjson::validate_stats(json_line).expect("valid twigm-stats-v1");
+    let report = twigm_testkit::obsjson::parse(json_line).unwrap();
+    let bytes = report.get("bytes").and_then(|b| b.as_u64());
+    assert_eq!(bytes, Some(xml.len() as u64), "{json_line}");
+}

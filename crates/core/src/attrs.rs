@@ -6,7 +6,7 @@
 //! wrapped engine decides each owner — the attribute analogue of
 //! [`crate::fragments::FragmentCollector`].
 
-use twigm_sax::{Attribute, NodeId};
+use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
 
 use crate::engine::StreamEngine;
 use crate::fxhash::FxHashMap;
@@ -56,12 +56,13 @@ impl<E: StreamEngine> AttrCollector<E> {
 impl<E: StreamEngine> StreamEngine for AttrCollector<E> {
     fn start_element(
         &mut self,
-        tag: &str,
+        sym: Symbol,
+        name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
-        let became_candidate = self.inner.start_element(tag, attrs, level, id);
+        let became_candidate = self.inner.start_element(sym, name, attrs, level, id);
         if became_candidate {
             if let Some(a) = attrs.iter().find(|a| a.name == self.attr) {
                 self.pending.insert(id.get(), a.value.clone().into_owned());
@@ -71,16 +72,22 @@ impl<E: StreamEngine> StreamEngine for AttrCollector<E> {
         became_candidate
     }
 
-    fn text(&mut self, text: &str) {
-        self.inner.text(text);
+    fn text(&mut self, text: &str, level: u32) {
+        self.inner.text(text, level);
     }
 
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.inner.end_element(tag, level);
+    fn end_element(&mut self, sym: Symbol, name: &str, level: u32) {
+        self.inner.end_element(sym, name, level);
         self.drain_decisions();
         if level == 1 {
             self.pending.clear();
         }
+    }
+
+    /// The inner engine's table. Attributes stay decoded for every
+    /// start tag (the default `needs_attributes`), the owner's included.
+    fn symbols(&self) -> Option<&SymbolTable> {
+        self.inner.symbols()
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {

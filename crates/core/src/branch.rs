@@ -33,7 +33,6 @@ pub struct BranchM<O: MachineObserver = NoopObserver> {
     machine: Machine,
     /// Per machine node: the single active match, if any.
     states: Vec<Option<State>>,
-    depth: u32,
     results: Vec<NodeId>,
     stats: EngineStats,
     live_entries: u64,
@@ -60,7 +59,6 @@ impl<O: MachineObserver> BranchM<O> {
         Ok(BranchM {
             machine,
             states,
-            depth: 0,
             results: Vec::new(),
             stats: EngineStats::default(),
             live_entries: 0,
@@ -90,13 +88,19 @@ impl<O: MachineObserver> BranchM<O> {
     }
 }
 
-impl<O: MachineObserver> BranchM<O> {
+impl<O: MachineObserver> StreamEngine for BranchM<O> {
     /// δs, dispatching on an interned symbol. (`XP{/,[]}` has no
     /// wildcards, so the wildcard list is empty and dispatch is just the
     /// dense per-symbol node list.)
-    fn start_sym(&mut self, sym: Symbol, attrs: &[Attribute<'_>], level: u32, id: NodeId) -> bool {
+    fn start_element(
+        &mut self,
+        sym: Symbol,
+        _name: &str,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+    ) -> bool {
         self.stats.start_events += 1;
-        self.depth = level;
         if O::ENABLED {
             self.observer.on_start_element(sym, level, id);
         }
@@ -152,9 +156,8 @@ impl<O: MachineObserver> BranchM<O> {
     }
 
     /// δe, dispatching on an interned symbol.
-    fn end_sym(&mut self, sym: Symbol, level: u32) {
+    fn end_element(&mut self, sym: Symbol, _name: &str, level: u32) {
         self.stats.end_events += 1;
-        self.depth = level.saturating_sub(1);
         if O::ENABLED {
             self.observer.on_end_element(sym, level);
         }
@@ -223,38 +226,8 @@ impl<O: MachineObserver> BranchM<O> {
             }
         }
     }
-}
 
-impl<O: MachineObserver> StreamEngine for BranchM<O> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        let sym = self.machine.symbols().lookup(tag);
-        self.start_sym(sym, attrs, level, id)
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        _tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(sym, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        self.text_at(text, self.depth)
-    }
-
-    /// Depth-explicit text routing for prefiltered batch streams, where
-    /// `self.depth` can lag the true document depth (see the trait doc).
-    fn text_at(&mut self, text: &str, level: u32) {
+    fn text(&mut self, text: &str, level: u32) {
         for &v in self.machine.text_nodes() {
             if let Some(state) = self.states[v].as_mut() {
                 if state.level == level {
@@ -266,15 +239,6 @@ impl<O: MachineObserver> StreamEngine for BranchM<O> {
 
     fn relevance(&self) -> crate::relevance::Relevance {
         crate::relevance::machine_relevance(&self.machine)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        let sym = self.machine.symbols().lookup(tag);
-        self.end_sym(sym, level)
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
-        self.end_sym(sym, level)
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {

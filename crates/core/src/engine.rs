@@ -1,10 +1,14 @@
-//! The common streaming-engine interface and the auto-selecting driver.
+//! The common streaming-engine interface, the one event driver that
+//! feeds it, the batch replay, and the auto-selecting engine.
 
 use std::fmt;
 use std::io::Read;
+use std::ops::ControlFlow;
 
 use twigm_sax::batch::{BatchEventKind, EventBatch};
-use twigm_sax::{Attribute, NodeId, SaxError, SaxHandler, SaxReader, Symbol, SymbolTable};
+use twigm_sax::{
+    Attribute, Event, FeedEvent, FeedReader, NodeId, SaxError, SaxReader, Symbol, SymbolTable,
+};
 use twigm_xpath::Path;
 
 use crate::branch::BranchM;
@@ -18,105 +22,66 @@ use crate::twig::TwigM;
 /// A streaming XPath evaluator driven by the paper's modified SAX events.
 ///
 /// Implementations receive `startElement(tag, level, id)`,
-/// `endElement(tag, level)` and character data in document order, and
-/// accumulate the ids of return-node matches, which the caller drains
-/// with [`StreamEngine::take_results`] (possibly incrementally, after any
-/// event).
+/// `endElement(tag, level)` and character data in document order — one
+/// method per event kind — and accumulate the ids of return-node
+/// matches, which the caller drains with [`StreamEngine::take_results`]
+/// (possibly incrementally, after any event).
+///
+/// Tags arrive as symbols of the engine's own [`StreamEngine::symbols`]
+/// table, looked up once per event by the driver ([`drive`],
+/// [`replay_batch`]). The name rides along for engines that work on the
+/// text of a tag (the lazy DFA baseline, the fragment and attribute
+/// collectors). An engine whose table is `None` sees every tag as
+/// [`Symbol::UNKNOWN`]. Engines driven by hand use [`ByName`].
+///
+/// Attribute values are decoded — and so entity-checked — only for
+/// start tags whose symbol [`StreamEngine::needs_attributes`] accepts.
+/// Any other start tag arrives with an empty attribute slice and costs
+/// no allocation, and an unknown entity reference in its attribute
+/// values is not reported.
 pub trait StreamEngine {
     /// Processes a start tag. Returns `true` when the element was pushed
     /// onto the return node's stack (i.e. it became a solution candidate)
     /// — used by the fragment collector to know what to record.
-    fn start_element(&mut self, tag: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId)
-        -> bool;
-
-    /// Processes character data (may arrive in chunks).
-    fn text(&mut self, _text: &str) {}
-
-    /// Processes an end tag.
-    fn end_element(&mut self, tag: &str, level: u32);
-
-    /// Symbol-dispatch start tag: `sym` is `self.symbols().lookup(tag)`,
-    /// computed once by the driver. Engines with a symbol table override
-    /// this to dispatch on dense tables without re-hashing `tag`; the
-    /// default falls back to the string path so existing implementations
-    /// keep compiling.
-    fn start_element_sym(
+    fn start_element(
         &mut self,
         sym: Symbol,
-        tag: &str,
+        name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
-    ) -> bool {
-        let _ = sym;
-        self.start_element(tag, attrs, level, id)
+    ) -> bool;
+
+    /// Processes an end tag.
+    fn end_element(&mut self, sym: Symbol, name: &str, level: u32);
+
+    /// Processes character data (it may arrive in chunks). `level` is
+    /// the level of the element that directly contains the text. Engines
+    /// that test no text ignore it.
+    fn text(&mut self, text: &str, level: u32) {
+        let _ = (text, level);
     }
 
-    /// Symbol-dispatch end tag; same contract as
-    /// [`StreamEngine::start_element_sym`].
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        let _ = sym;
-        self.end_element(tag, level)
-    }
-
-    /// The engine's interner, when it has one. Drivers that see `Some`
-    /// perform one lookup per event and call the `_sym` entry points;
-    /// `None` (the default) keeps them on the string path.
+    /// The engine's interner, which the drivers look tags up in. `None`
+    /// (the default) makes every tag [`Symbol::UNKNOWN`].
     fn symbols(&self) -> Option<&SymbolTable> {
         None
     }
 
     /// Whether a start event with this symbol needs its attributes
-    /// collected. Engines that test no attributes for `sym` return
-    /// `false`, letting the driver skip attribute decoding entirely (the
-    /// common case: a non-matching tag costs zero allocations). The
-    /// conservative default collects always.
+    /// decoded (see the trait docs). The conservative default decodes
+    /// always.
     fn needs_attributes(&self, sym: Symbol) -> bool {
         let _ = sym;
         true
     }
 
-    /// Character data with the *document* level of the containing
-    /// element made explicit. The pipelined batch path uses this entry
-    /// point: engines track the current depth internally, but they only
-    /// advance it on events they actually receive, so after a prefilter
-    /// has skipped a subtree the internal depth can go stale. Batches
-    /// record each text chunk's containing level, and depth-tracking
-    /// engines override this to route on it directly. The default
-    /// ignores the hint and falls back to [`StreamEngine::text`].
-    fn text_at(&mut self, text: &str, level: u32) {
-        let _ = level;
-        self.text(text)
-    }
-
-    /// Applies one pre-parsed event batch via the `_sym` entry points.
-    ///
-    /// The batch must have been produced under a plan built over *this*
-    /// engine's symbol table (see `BatchPlan` in the sax crate) — the
-    /// symbols stored in the batch are dispatched without re-hashing the
-    /// tag names. The default implementation is a straight replay loop;
-    /// engines normally inherit it.
+    /// Applies one pre-parsed event batch produced under a plan over
+    /// *this* engine's symbol table (see `BatchPlan` in the sax crate):
+    /// the stored symbols are dispatched without re-hashing the tag
+    /// names. Engines normally inherit this [`replay_batch`] call.
     fn apply_batch(&mut self, batch: &EventBatch) {
-        let mut attrs: Vec<Attribute<'_>> = Vec::new();
-        for event in batch.events() {
-            match event.kind {
-                BatchEventKind::Start => {
-                    attrs.clear();
-                    attrs.extend(batch.attrs_of(event));
-                    self.start_element_sym(
-                        event.sym,
-                        batch.str_of(event),
-                        &attrs,
-                        event.level,
-                        NodeId::new(event.id),
-                    );
-                }
-                BatchEventKind::End => {
-                    self.end_element_sym(event.sym, batch.str_of(event), event.level);
-                }
-                BatchEventKind::Text => self.text_at(batch.str_of(event), event.level),
-            }
-        }
+        replay_batch(self, batch, None)
     }
 
     /// Which symbols and stream features this engine dispatches on, for
@@ -147,47 +112,21 @@ pub trait StreamEngine {
 impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
     fn start_element(
         &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        (**self).text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        (**self).end_element(tag, level)
-    }
-
-    fn start_element_sym(
-        &mut self,
         sym: Symbol,
-        tag: &str,
+        name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
-        (**self).start_element_sym(sym, tag, attrs, level, id)
+        (**self).start_element(sym, name, attrs, level, id)
     }
 
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        (**self).end_element_sym(sym, tag, level)
+    fn end_element(&mut self, sym: Symbol, name: &str, level: u32) {
+        (**self).end_element(sym, name, level)
     }
 
-    fn text_at(&mut self, text: &str, level: u32) {
-        (**self).text_at(text, level)
-    }
-
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        (**self).apply_batch(batch)
-    }
-
-    fn relevance(&self) -> Relevance {
-        (**self).relevance()
+    fn text(&mut self, text: &str, level: u32) {
+        (**self).text(text, level)
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {
@@ -196,6 +135,14 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
 
     fn needs_attributes(&self, sym: Symbol) -> bool {
         (**self).needs_attributes(sym)
+    }
+
+    fn apply_batch(&mut self, batch: &EventBatch) {
+        (**self).apply_batch(batch)
+    }
+
+    fn relevance(&self) -> Relevance {
+        (**self).relevance()
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
@@ -211,72 +158,31 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
     }
 }
 
-impl<E: StreamEngine + ?Sized> StreamEngine for Box<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element(tag, attrs, level, id)
+/// The symbol `engine` dispatches `name` on.
+fn symbol_of<E: StreamEngine + ?Sized>(engine: &E, name: &str) -> Symbol {
+    engine
+        .symbols()
+        .map_or(Symbol::UNKNOWN, |table| table.lookup(name))
+}
+
+/// Name-keyed start and end calls for engines driven by hand (unit
+/// tests, examples): each looks the name up in the engine's own table
+/// and calls the symbol entry point, as the drivers do once per event.
+pub trait ByName: StreamEngine {
+    /// [`StreamEngine::start_element`] for the tag `name`.
+    fn start_named(&mut self, name: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId) -> bool {
+        let sym = symbol_of(self, name);
+        self.start_element(sym, name, attrs, level, id)
     }
 
-    fn text(&mut self, text: &str) {
-        (**self).text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        (**self).end_element(tag, level)
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element_sym(sym, tag, attrs, level, id)
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        (**self).end_element_sym(sym, tag, level)
-    }
-
-    fn text_at(&mut self, text: &str, level: u32) {
-        (**self).text_at(text, level)
-    }
-
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        (**self).apply_batch(batch)
-    }
-
-    fn relevance(&self) -> Relevance {
-        (**self).relevance()
-    }
-
-    fn symbols(&self) -> Option<&SymbolTable> {
-        (**self).symbols()
-    }
-
-    fn needs_attributes(&self, sym: Symbol) -> bool {
-        (**self).needs_attributes(sym)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        (**self).take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        (**self).stats()
-    }
-
-    fn machine_size(&self) -> Option<usize> {
-        (**self).machine_size()
+    /// [`StreamEngine::end_element`] for the tag `name`.
+    fn end_named(&mut self, name: &str, level: u32) {
+        let sym = symbol_of(self, name);
+        self.end_element(sym, name, level)
     }
 }
+
+impl<E: StreamEngine + ?Sized> ByName for E {}
 
 /// An error from end-to-end evaluation.
 #[derive(Debug)]
@@ -392,65 +298,49 @@ impl<O: MachineObserver> Engine<O> {
 impl<O: MachineObserver> StreamEngine for Engine<O> {
     fn start_element(
         &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        match self {
-            Engine::Path(e) => e.start_element(tag, attrs, level, id),
-            Engine::Branch(e) => e.start_element(tag, attrs, level, id),
-            Engine::Twig(e) => e.start_element(tag, attrs, level, id),
-        }
-    }
-
-    fn text(&mut self, text: &str) {
-        match self {
-            Engine::Path(e) => e.text(text),
-            Engine::Branch(e) => e.text(text),
-            Engine::Twig(e) => e.text(text),
-        }
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        match self {
-            Engine::Path(e) => e.end_element(tag, level),
-            Engine::Branch(e) => e.end_element(tag, level),
-            Engine::Twig(e) => e.end_element(tag, level),
-        }
-    }
-
-    fn start_element_sym(
-        &mut self,
         sym: Symbol,
-        tag: &str,
+        name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
         match self {
-            Engine::Path(e) => e.start_element_sym(sym, tag, attrs, level, id),
-            Engine::Branch(e) => e.start_element_sym(sym, tag, attrs, level, id),
-            Engine::Twig(e) => e.start_element_sym(sym, tag, attrs, level, id),
+            Engine::Path(e) => e.start_element(sym, name, attrs, level, id),
+            Engine::Branch(e) => e.start_element(sym, name, attrs, level, id),
+            Engine::Twig(e) => e.start_element(sym, name, attrs, level, id),
         }
     }
 
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
+    fn end_element(&mut self, sym: Symbol, name: &str, level: u32) {
         match self {
-            Engine::Path(e) => e.end_element_sym(sym, tag, level),
-            Engine::Branch(e) => e.end_element_sym(sym, tag, level),
-            Engine::Twig(e) => e.end_element_sym(sym, tag, level),
+            Engine::Path(e) => e.end_element(sym, name, level),
+            Engine::Branch(e) => e.end_element(sym, name, level),
+            Engine::Twig(e) => e.end_element(sym, name, level),
         }
     }
 
-    fn text_at(&mut self, text: &str, level: u32) {
+    fn text(&mut self, text: &str, level: u32) {
         match self {
-            Engine::Path(e) => e.text_at(text, level),
-            Engine::Branch(e) => e.text_at(text, level),
-            Engine::Twig(e) => e.text_at(text, level),
+            Engine::Path(e) => e.text(text, level),
+            Engine::Branch(e) => e.text(text, level),
+            Engine::Twig(e) => e.text(text, level),
         }
     }
 
+    fn symbols(&self) -> Option<&SymbolTable> {
+        Some(self.machine().symbols())
+    }
+
+    fn needs_attributes(&self, sym: Symbol) -> bool {
+        match self {
+            Engine::Path(e) => e.needs_attributes(sym),
+            Engine::Branch(e) => e.needs_attributes(sym),
+            Engine::Twig(e) => e.needs_attributes(sym),
+        }
+    }
+
+    /// Replays the batch into the selected machine, so the per-event
+    /// dispatch does not go through this enum.
     fn apply_batch(&mut self, batch: &EventBatch) {
         match self {
             Engine::Path(e) => e.apply_batch(batch),
@@ -461,22 +351,6 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
 
     fn relevance(&self) -> Relevance {
         machine_relevance(self.machine())
-    }
-
-    fn symbols(&self) -> Option<&SymbolTable> {
-        match self {
-            Engine::Path(e) => e.symbols(),
-            Engine::Branch(e) => e.symbols(),
-            Engine::Twig(e) => e.symbols(),
-        }
-    }
-
-    fn needs_attributes(&self, sym: Symbol) -> bool {
-        match self {
-            Engine::Path(e) => e.needs_attributes(sym),
-            Engine::Branch(e) => e.needs_attributes(sym),
-            Engine::Twig(e) => e.needs_attributes(sym),
-        }
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
@@ -496,47 +370,168 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
     }
 
     fn machine_size(&self) -> Option<usize> {
-        match self {
-            Engine::Path(e) => e.machine_size(),
-            Engine::Branch(e) => e.machine_size(),
-            Engine::Twig(e) => e.machine_size(),
+        Some(self.machine().len())
+    }
+}
+
+/// Where [`drive`] pulls events from: a [`SaxReader`] over a whole
+/// stream, or a [`FeedReader`] holding the chunks fed so far.
+pub trait EventSource {
+    /// The next event, or `None` when the source has none to give now:
+    /// the end of the document, or the end of the data fed so far.
+    fn pull(&mut self) -> Result<Option<Event<'_>>, SaxError>;
+
+    /// Byte offset just past the last event pulled.
+    fn offset(&self) -> u64;
+
+    /// Elements open after the last event pulled. [`drive`] reads it
+    /// once on entry; a source that ran dry has already closed an empty
+    /// tag's element, so it holds on re-entry too.
+    fn depth(&self) -> u32;
+}
+
+impl<R: Read> EventSource for SaxReader<R> {
+    fn pull(&mut self) -> Result<Option<Event<'_>>, SaxError> {
+        self.next_event()
+    }
+
+    fn offset(&self) -> u64 {
+        SaxReader::offset(self)
+    }
+
+    fn depth(&self) -> u32 {
+        SaxReader::depth(self)
+    }
+}
+
+impl EventSource for FeedReader {
+    fn pull(&mut self) -> Result<Option<Event<'_>>, SaxError> {
+        match self.next_event()? {
+            FeedEvent::Event(event) => Ok(Some(event)),
+            FeedEvent::NeedData | FeedEvent::Done => Ok(None),
         }
     }
-}
 
-/// Adapter that drives any [`StreamEngine`] from SAX callbacks.
-pub struct EngineHandler<E> {
-    engine: E,
-}
-
-impl<E: StreamEngine> EngineHandler<E> {
-    /// Wraps an engine.
-    pub fn new(engine: E) -> Self {
-        EngineHandler { engine }
+    fn offset(&self) -> u64 {
+        FeedReader::offset(self)
     }
 
-    /// Unwraps the engine.
-    pub fn into_inner(self) -> E {
-        self.engine
-    }
-
-    /// Access to the wrapped engine.
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
+    fn depth(&self) -> u32 {
+        FeedReader::depth(self)
     }
 }
 
-impl<E: StreamEngine> SaxHandler for EngineHandler<E> {
-    fn start_element(&mut self, name: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId) {
-        self.engine.start_element(name, attrs, level, id);
-    }
+/// Per-event hooks of [`drive`], chosen at compile time like a
+/// [`MachineObserver`]: [`NoTelemetry`] compiles to nothing,
+/// [`Telemetry`] does the stream accounting of [`run_engine_traced`],
+/// and harnesses add their own (a deadline check, say).
+pub trait DriverObserver {
+    /// Runs after every event the driver pulled, comments and processing
+    /// instructions included. `depth` is the element depth after the
+    /// event and `offset` the byte offset just past it. `Break` stops
+    /// the drive.
+    fn after_event<E: StreamEngine + ?Sized>(
+        &mut self,
+        engine: &mut E,
+        depth: u32,
+        offset: u64,
+    ) -> ControlFlow<()>;
+}
 
-    fn end_element(&mut self, name: &str, level: u32) {
-        self.engine.end_element(name, level);
-    }
+/// The driver observer that observes nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoTelemetry;
 
-    fn text(&mut self, text: &str) {
-        self.engine.text(text);
+impl DriverObserver for NoTelemetry {
+    #[inline(always)]
+    fn after_event<E: StreamEngine + ?Sized>(
+        &mut self,
+        _: &mut E,
+        _: u32,
+        _: u64,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// The event driver: pulls every event `src` has to give and turns it
+/// into `engine` calls — the only place SAX events become
+/// [`StreamEngine`] calls.
+///
+/// Each tag is looked up once in the engine's table, attribute values
+/// are decoded under the rule in the [`StreamEngine`] docs, and text is
+/// delivered with the level of its containing element; comments and
+/// processing instructions are skipped. `observer` runs after every
+/// event.
+///
+/// Returns once `src` has no more events — the end of the document, or
+/// of the data fed so far into a [`FeedReader`] (feed more and call
+/// again) — or when the observer stopped the drive.
+pub fn drive<E, S, D>(engine: &mut E, src: &mut S, observer: &mut D) -> Result<(), SaxError>
+where
+    E: StreamEngine + ?Sized,
+    S: EventSource,
+    D: DriverObserver,
+{
+    let mut depth = src.depth();
+    while let Some(event) = src.pull()? {
+        match event {
+            Event::Start(tag) => {
+                let sym = symbol_of(engine, tag.name());
+                // An empty Vec never allocates, so a start tag whose
+                // attributes nothing tests costs no allocation.
+                let mut attrs: Vec<Attribute<'_>> = Vec::new();
+                if engine.needs_attributes(sym) {
+                    for a in tag.attributes() {
+                        attrs.push(a?);
+                    }
+                }
+                depth = tag.level();
+                engine.start_element(sym, tag.name(), &attrs, depth, tag.id());
+            }
+            Event::End(tag) => {
+                let sym = symbol_of(engine, tag.name());
+                engine.end_element(sym, tag.name(), tag.level());
+                depth = tag.level() - 1;
+            }
+            Event::Text(text) => engine.text(&text, depth),
+            Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
+        }
+        if observer.after_event(engine, depth, src.offset()).is_break() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The batch replay: turns a pre-parsed [`EventBatch`] into `engine`
+/// calls.
+///
+/// With `relookup` `None` it dispatches on the symbols stored in the
+/// batch, which must then have been produced under a plan over the
+/// engine's own table ([`StreamEngine::apply_batch`]). With
+/// `Some(table)` — the engine's own table — each name is looked up again,
+/// for a batch produced under another table: the sharded workers, whose
+/// producer interns the names of every shard.
+pub fn replay_batch<E: StreamEngine + ?Sized>(
+    engine: &mut E,
+    batch: &EventBatch,
+    relookup: Option<&SymbolTable>,
+) {
+    let sym = |stored: Symbol, name: &str| relookup.map_or(stored, |table| table.lookup(name));
+    let mut attrs: Vec<Attribute<'_>> = Vec::new();
+    for event in batch.events() {
+        let name = batch.str_of(event);
+        match event.kind {
+            BatchEventKind::Start => {
+                attrs.clear();
+                attrs.extend(batch.attrs_of(event));
+                let id = NodeId::new(event.id);
+                engine.start_element(sym(event.sym, name), name, &attrs, event.level, id);
+            }
+            BatchEventKind::End => engine.end_element(sym(event.sym, name), name, event.level),
+            BatchEventKind::Text => engine.text(name, event.level),
+        }
     }
 }
 
@@ -545,43 +540,7 @@ pub fn run_engine<E: StreamEngine, R: Read>(
     mut engine: E,
     src: R,
 ) -> Result<(Vec<NodeId>, E), SaxError> {
-    // Snapshot the engine's interner once: the hot loop then pays one
-    // FxHash lookup per event and dispatches on symbols. (Engines
-    // without a table stay on the string path via `Symbol::UNKNOWN` +
-    // the trait's default fallbacks.)
-    let table = engine.symbols().cloned();
-    let mut reader = SaxReader::new(src);
-    while let Some(event) = reader.next_event()? {
-        match event {
-            twigm_sax::Event::Start(tag) => {
-                let sym = match &table {
-                    Some(t) => t.lookup(tag.name()),
-                    None => Symbol::UNKNOWN,
-                };
-                // An empty Vec never allocates, so skipping attribute
-                // collection makes a non-matching start tag allocation
-                // free. (Caveat: attribute values of skipped tags are
-                // not entity-checked.)
-                let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                if table.is_none() || engine.needs_attributes(sym) {
-                    for a in tag.attributes() {
-                        attrs.push(a?);
-                    }
-                }
-                if table.is_some() {
-                    engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                } else {
-                    engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                }
-            }
-            twigm_sax::Event::End(tag) => match &table {
-                Some(t) => engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level()),
-                None => engine.end_element(tag.name(), tag.level()),
-            },
-            twigm_sax::Event::Text(t) => engine.text(&t),
-            _ => {}
-        }
-    }
+    drive(&mut engine, &mut SaxReader::new(src), &mut NoTelemetry)?;
     let results = engine.take_results();
     Ok((results, engine))
 }
@@ -607,7 +566,7 @@ pub struct StreamTelemetry {
     pub first_result_byte: Option<u64>,
 }
 
-/// A progress sample handed to [`run_engine_traced`]'s callback.
+/// A progress sample handed to [`Telemetry`]'s callback.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamProgress {
     /// Bytes consumed so far.
@@ -618,65 +577,79 @@ pub struct StreamProgress {
     pub results: u64,
 }
 
-/// Like [`run_engine`], but additionally accounts for bytes, events,
-/// recursion depth and time-to-first-result. Result arrival is detected
-/// through the engine's `stats().results` counter (every engine bumps it
-/// at the emitting transition), so the per-event cost over [`run_engine`]
-/// is a couple of counter reads; results are drained once at the end.
-/// When `progress_every` is non-zero, `progress` is invoked after every
-/// `progress_every` events — e.g. for stderr throughput reporting.
+/// The telemetry driver observer: accounts for bytes, events, recursion
+/// depth and time-to-first-result, and calls `progress` after every
+/// `progress_every` events (never when it is 0) — e.g. for stderr
+/// throughput reporting.
+///
+/// Result arrival is detected through the engine's `stats().results`
+/// counter (every engine bumps it at the emitting transition), so the
+/// per-event cost is a couple of counter reads and no result is drained.
+pub struct Telemetry<F> {
+    telemetry: StreamTelemetry,
+    progress_every: u64,
+    progress: F,
+}
+
+impl<F: FnMut(&StreamProgress)> Telemetry<F> {
+    /// A fresh account with a progress callback.
+    pub fn new(progress_every: u64, progress: F) -> Self {
+        Telemetry {
+            telemetry: StreamTelemetry::default(),
+            progress_every,
+            progress,
+        }
+    }
+
+    /// Closes the account. `bytes` is the source's final offset, which
+    /// covers any trailing whitespace after the last event.
+    pub fn finish(self, bytes: u64) -> StreamTelemetry {
+        StreamTelemetry {
+            bytes,
+            ..self.telemetry
+        }
+    }
+}
+
+impl<F: FnMut(&StreamProgress)> DriverObserver for Telemetry<F> {
+    #[inline]
+    fn after_event<E: StreamEngine + ?Sized>(
+        &mut self,
+        engine: &mut E,
+        depth: u32,
+        offset: u64,
+    ) -> ControlFlow<()> {
+        let t = &mut self.telemetry;
+        t.events += 1;
+        t.max_depth = t.max_depth.max(depth);
+        if t.first_result_event.is_none() && engine.stats().results > 0 {
+            t.first_result_event = Some(t.events);
+            t.first_result_byte = Some(offset);
+        }
+        if self.progress_every != 0 && t.events.is_multiple_of(self.progress_every) {
+            (self.progress)(&StreamProgress {
+                bytes: offset,
+                events: t.events,
+                results: engine.stats().results,
+            });
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// [`run_engine`] through the [`Telemetry`] driver observer: also
+/// returns the stream accounting, calling `progress` after every
+/// `progress_every` events.
 pub fn run_engine_traced<E: StreamEngine, R: Read>(
     mut engine: E,
     src: R,
     progress_every: u64,
-    mut progress: impl FnMut(&StreamProgress),
+    progress: impl FnMut(&StreamProgress),
 ) -> Result<(Vec<NodeId>, E, StreamTelemetry), SaxError> {
-    let table = engine.symbols().cloned();
     let mut reader = SaxReader::new(src);
-    let mut telemetry = StreamTelemetry::default();
-    while let Some(event) = reader.next_event()? {
-        match event {
-            twigm_sax::Event::Start(tag) => {
-                telemetry.max_depth = telemetry.max_depth.max(tag.level());
-                let sym = match &table {
-                    Some(t) => t.lookup(tag.name()),
-                    None => Symbol::UNKNOWN,
-                };
-                let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                if table.is_none() || engine.needs_attributes(sym) {
-                    for a in tag.attributes() {
-                        attrs.push(a?);
-                    }
-                }
-                if table.is_some() {
-                    engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                } else {
-                    engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                }
-            }
-            twigm_sax::Event::End(tag) => match &table {
-                Some(t) => engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level()),
-                None => engine.end_element(tag.name(), tag.level()),
-            },
-            twigm_sax::Event::Text(t) => engine.text(&t),
-            _ => {}
-        }
-        // The event borrow has ended; the reader's offset is now the
-        // position just past the event that was processed.
-        telemetry.events += 1;
-        if telemetry.first_result_event.is_none() && engine.stats().results > 0 {
-            telemetry.first_result_event = Some(telemetry.events);
-            telemetry.first_result_byte = Some(reader.offset());
-        }
-        if progress_every != 0 && telemetry.events % progress_every == 0 {
-            progress(&StreamProgress {
-                bytes: reader.offset(),
-                events: telemetry.events,
-                results: engine.stats().results,
-            });
-        }
-    }
-    telemetry.bytes = reader.offset();
+    let mut observer = Telemetry::new(progress_every, progress);
+    drive(&mut engine, &mut reader, &mut observer)?;
+    let telemetry = observer.finish(reader.offset());
     debug_assert_eq!(telemetry.events, reader.events_emitted());
     let results = engine.take_results();
     Ok((results, engine, telemetry))

@@ -14,7 +14,7 @@
 //! buffering all predicate-capable streaming processors perform (XSQ's
 //! buffer, TurboXPath's work areas).
 
-use twigm_sax::{escape_attr, escape_text, Attribute, NodeId};
+use twigm_sax::{escape_attr, escape_text, Attribute, NodeId, Symbol, SymbolTable};
 
 use crate::engine::StreamEngine;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -84,16 +84,17 @@ impl<E: StreamEngine> FragmentCollector<E> {
 impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
     fn start_element(
         &mut self,
-        tag: &str,
+        sym: Symbol,
+        name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
-        let became_candidate = self.inner.start_element(tag, attrs, level, id);
+        let became_candidate = self.inner.start_element(sym, name, attrs, level, id);
         if !self.open.is_empty() || became_candidate {
-            let mut tag_text = String::with_capacity(tag.len() + 2);
+            let mut tag_text = String::with_capacity(name.len() + 2);
             tag_text.push('<');
-            tag_text.push_str(tag);
+            tag_text.push_str(name);
             for a in attrs {
                 tag_text.push(' ');
                 tag_text.push_str(a.name);
@@ -117,8 +118,8 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         became_candidate
     }
 
-    fn text(&mut self, text: &str) {
-        self.inner.text(text);
+    fn text(&mut self, text: &str, level: u32) {
+        self.inner.text(text, level);
         if !self.open.is_empty() {
             let escaped = escape_text(text);
             for rec in &mut self.open {
@@ -127,12 +128,12 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         }
     }
 
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.inner.end_element(tag, level);
+    fn end_element(&mut self, sym: Symbol, name: &str, level: u32) {
+        self.inner.end_element(sym, name, level);
         if !self.open.is_empty() {
             for rec in &mut self.open {
                 rec.buf.push_str("</");
-                rec.buf.push_str(tag);
+                rec.buf.push_str(name);
                 rec.buf.push('>');
             }
             // Close recordings of elements ending at this level (at most
@@ -153,6 +154,13 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
             self.pending.clear();
             self.decided_early.clear();
         }
+    }
+
+    /// The inner engine's table. Attributes stay decoded for every
+    /// start tag (the default `needs_attributes`): recorded fragments
+    /// serialize them.
+    fn symbols(&self) -> Option<&SymbolTable> {
+        self.inner.symbols()
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
@@ -178,10 +186,14 @@ mod tests {
 
     fn fragments(query: &str, xml: &str) -> Vec<String> {
         let q = parse(query).unwrap();
-        let engine: Box<dyn StreamEngine> = if q.is_predicate_free() {
-            Box::new(PathM::new(&q).unwrap())
+        let mut path;
+        let mut twig;
+        let engine: &mut dyn StreamEngine = if q.is_predicate_free() {
+            path = PathM::new(&q).unwrap();
+            &mut path
         } else {
-            Box::new(TwigM::new(&q).unwrap())
+            twig = TwigM::new(&q).unwrap();
+            &mut twig
         };
         let collector = FragmentCollector::new(engine);
         let (_, mut collector) = run_engine(collector, xml.as_bytes()).unwrap();

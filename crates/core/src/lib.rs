@@ -76,8 +76,9 @@ pub mod twig;
 
 pub use branch::BranchM;
 pub use engine::{
-    evaluate, evaluate_ordered, evaluate_union, run_engine, run_engine_traced, Engine,
-    StreamEngine, StreamProgress, StreamTelemetry,
+    drive, evaluate, evaluate_ordered, evaluate_union, replay_batch, run_engine, run_engine_traced,
+    ByName, DriverObserver, Engine, EventSource, NoTelemetry, StreamEngine, StreamProgress,
+    StreamTelemetry, Telemetry,
 };
 pub use machine::{Machine, MachineError};
 pub use multi::MultiTwigM;

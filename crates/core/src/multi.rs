@@ -19,10 +19,10 @@
 //! module only owns the dispatch: the shared index, filter mode and the
 //! result tags.
 
-use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
+use twigm_sax::{Attribute, NodeId, SaxError, SaxReader, Symbol, SymbolTable};
 use twigm_xpath::{NameTest, Path};
 
-use crate::engine::StreamEngine;
+use crate::engine::{drive, NoTelemetry, StreamEngine};
 use crate::machine::{Machine, MachineError};
 use crate::observe::{MachineObserver, NoopObserver};
 use crate::relevance::Relevance;
@@ -102,6 +102,8 @@ pub struct MultiTwigM<O: MachineObserver = NoopObserver> {
     /// Queries with positional (`[n]`) nodes, whose sibling counters
     /// reset on every start tag.
     pos_queries: Vec<QueryId>,
+    /// Level of the innermost open element; `add_query` refuses to
+    /// register a query while it is non-zero.
     depth: u32,
     results: Vec<TaggedResult>,
     stats: EngineStats,
@@ -235,9 +237,8 @@ impl<O: MachineObserver> MultiTwigM<O> {
         (v < self.cores[qid].machine().len()).then_some((qid, v))
     }
 
-    /// The symbol space shared by every registered machine. Callers
-    /// driving the engine event by event can look a tag up once and use
-    /// the `_sym` entry points.
+    /// The symbol space shared by every registered machine, which the
+    /// drivers look tags up in.
     pub fn symbols(&self) -> &SymbolTable {
         &self.table
     }
@@ -253,33 +254,8 @@ impl<O: MachineObserver> MultiTwigM<O> {
     }
 
     /// Runs a complete document and returns its tagged results.
-    pub fn run<R: std::io::Read>(
-        &mut self,
-        src: R,
-    ) -> Result<Vec<TaggedResult>, twigm_sax::SaxError> {
-        let mut reader = twigm_sax::SaxReader::new(src);
-        while let Some(event) = reader.next_event()? {
-            match event {
-                twigm_sax::Event::Start(tag) => {
-                    // One interner lookup per event; attribute decoding
-                    // is skipped when no dispatched node tests them.
-                    let sym = self.table.lookup(tag.name());
-                    let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                    if self.needs_attributes(sym) {
-                        for a in tag.attributes() {
-                            attrs.push(a?);
-                        }
-                    }
-                    self.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                }
-                twigm_sax::Event::End(tag) => {
-                    let sym = self.table.lookup(tag.name());
-                    self.end_element_sym(sym, tag.name(), tag.level())
-                }
-                twigm_sax::Event::Text(t) => self.text(&t),
-                _ => {}
-            }
-        }
+    pub fn run<R: std::io::Read>(&mut self, src: R) -> Result<Vec<TaggedResult>, SaxError> {
+        drive(self, &mut SaxReader::new(src), &mut NoTelemetry)?;
         Ok(self.take_tagged_results())
     }
 
@@ -340,23 +316,12 @@ impl Default for MultiTwigM {
 /// dedup afterwards. Use [`MultiTwigM::take_tagged_results`] directly
 /// when the tags matter.
 impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        let sym = self.table.lookup(tag);
-        self.start_element_sym(sym, tag, attrs, level, id)
-    }
-
     /// δs, applied across all registered machines via the shared dense
     /// index.
-    fn start_element_sym(
+    fn start_element(
         &mut self,
         sym: Symbol,
-        _tag: &str,
+        _name: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
@@ -380,15 +345,7 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
         became_candidate
     }
 
-    fn text(&mut self, text: &str) {
-        self.text_at(text, self.depth)
-    }
-
-    /// Character data with an explicit containing level — the entry
-    /// point for prefiltered batch streams, where the internally tracked
-    /// depth can lag behind the document (skipped subtrees never update
-    /// it).
-    fn text_at(&mut self, text: &str, level: u32) {
+    fn text(&mut self, text: &str, level: u32) {
         for &qid in &self.text_queries {
             self.cores[qid].text_at(text, level);
         }
@@ -405,14 +362,9 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
         }
     }
 
-    fn end_element(&mut self, tag: &str, level: u32) {
-        let sym = self.table.lookup(tag);
-        self.end_element_sym(sym, tag, level)
-    }
-
     /// δe, applied across all registered machines via the shared dense
     /// index.
-    fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
+    fn end_element(&mut self, sym: Symbol, _name: &str, level: u32) {
         self.stats.end_events += 1;
         self.depth = level.saturating_sub(1);
         if O::ENABLED {
@@ -659,7 +611,7 @@ mod filter_tests {
 #[cfg(test)]
 mod core_tests {
     use super::*;
-    use crate::engine::run_engine;
+    use crate::engine::{run_engine, ByName};
     use crate::twig::TwigM;
     use twigm_xpath::{parse, parse_union};
 
@@ -676,10 +628,10 @@ mod core_tests {
     #[test]
     fn union_delivers_eagerly_when_the_predicate_comes_first() {
         let mut engine = union("//a[d]/b | //zzz");
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("d", &[], 2, NodeId::new(1));
-        engine.end_element("d", 2);
-        assert!(engine.start_element("b", &[], 2, NodeId::new(2)));
+        engine.start_named("a", &[], 1, NodeId::new(0));
+        engine.start_named("d", &[], 2, NodeId::new(1));
+        engine.end_named("d", 2);
+        assert!(engine.start_named("b", &[], 2, NodeId::new(2)));
         assert_eq!(
             engine.take_tagged_results(),
             vec![TaggedResult {
@@ -687,8 +639,8 @@ mod core_tests {
                 node: NodeId::new(2)
             }]
         );
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end_named("b", 2);
+        engine.end_named("a", 1);
         assert!(engine.take_tagged_results().is_empty(), "no re-emission");
         assert_eq!(engine.stats().peak_candidates, 0);
     }
@@ -737,16 +689,16 @@ mod core_tests {
     fn adding_a_query_mid_document_is_an_error() {
         let mut engine = MultiTwigM::new();
         engine.add_query(&parse("//a").unwrap()).unwrap();
-        engine.start_element("r", &[], 1, NodeId::new(0));
+        engine.start_named("r", &[], 1, NodeId::new(0));
         assert_eq!(
             engine.add_query(&parse("//b").unwrap()),
             Err(MachineError::QueryAddedMidDocument { depth: 1 })
         );
         assert_eq!(engine.query_count(), 1);
         // The engine is unchanged and still usable.
-        engine.start_element("a", &[], 2, NodeId::new(1));
-        engine.end_element("a", 2);
-        engine.end_element("r", 1);
+        engine.start_named("a", &[], 2, NodeId::new(1));
+        engine.end_named("a", 2);
+        engine.end_named("r", 1);
         assert_eq!(
             engine.take_tagged_results(),
             vec![TaggedResult {

@@ -84,10 +84,17 @@ impl<O: MachineObserver> PathM<O> {
     }
 }
 
-impl<O: MachineObserver> PathM<O> {
+impl<O: MachineObserver> StreamEngine for PathM<O> {
     /// δs, dispatching on an interned symbol (dense tables, no per-node
     /// string compares).
-    fn start_sym(&mut self, sym: Symbol, level: u32, id: NodeId) -> bool {
+    fn start_element(
+        &mut self,
+        sym: Symbol,
+        _name: &str,
+        _attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+    ) -> bool {
         self.stats.start_events += 1;
         if O::ENABLED {
             self.observer.on_start_element(sym, level, id);
@@ -146,7 +153,7 @@ impl<O: MachineObserver> PathM<O> {
     }
 
     /// δe, dispatching on an interned symbol.
-    fn end_sym(&mut self, sym: Symbol, level: u32) {
+    fn end_element(&mut self, sym: Symbol, _name: &str, level: u32) {
         self.stats.end_events += 1;
         if O::ENABLED {
             self.observer.on_end_element(sym, level);
@@ -176,39 +183,6 @@ impl<O: MachineObserver> PathM<O> {
                 self.observer.on_document_end();
             }
         }
-    }
-}
-
-impl<O: MachineObserver> StreamEngine for PathM<O> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        _attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        let sym = self.machine.symbols().lookup(tag);
-        self.start_sym(sym, level, id)
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        _tag: &str,
-        _attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(sym, level, id)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        let sym = self.machine.symbols().lookup(tag);
-        self.end_sym(sym, level)
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
-        self.end_sym(sym, level)
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {

@@ -37,7 +37,7 @@ use std::thread;
 use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
 use twigm_sax::{NodeId, SaxError, SaxReader, Symbol, SymbolTable};
 
-use crate::engine::StreamEngine;
+use crate::engine::{replay_batch, StreamEngine};
 use crate::multi::MultiTwigM;
 use crate::relevance::Relevance;
 use crate::stats::EngineStats;
@@ -119,23 +119,14 @@ type BatchMsg = Result<Box<EventBatch>, SaxError>;
 /// Runs `engine` over `src` with scanning pipelined onto a producer
 /// thread. Results are identical to [`crate::engine::run_engine`]; the
 /// engine itself stays on the calling thread (it need not be `Send`).
-///
-/// Engines without a symbol table fall back to the serial driver — the
-/// batched stream pre-dispatches on symbols and has nothing to offer
-/// them.
 pub fn run_engine_pipelined<E: StreamEngine, R: Read + Send>(
     mut engine: E,
     src: R,
     opts: &PipelineOptions,
 ) -> Result<(Vec<NodeId>, E, PipelineStats), SaxError> {
-    let Some(table) = engine.symbols().cloned() else {
-        let (ids, engine) = crate::engine::run_engine(engine, src)?;
-        let stats = PipelineStats {
-            threads: 1,
-            ..PipelineStats::default()
-        };
-        return Ok((ids, engine, stats));
-    };
+    // An engine without a table gets an empty one: every tag is
+    // `Symbol::UNKNOWN`, as in the serial driver.
+    let table = engine.symbols().cloned().unwrap_or_default();
     let plan = plan_for(&engine, table, opts.prefilter);
     let batch_events = opts.batch_events.max(1);
     let queue_depth = opts.queue_depth.max(1);
@@ -256,38 +247,6 @@ pub struct ShardedOutcome {
     pub pipeline: PipelineStats,
 }
 
-/// Replays a batch into an engine whose symbol table differs from the
-/// one the batch was produced under: one lookup per event in the
-/// engine's own table. This is the shard worker's hot loop — the
-/// producer interns the union of all shard vocabularies, and each shard
-/// re-maps names into its private symbol space.
-fn apply_batch_relookup<E: StreamEngine>(engine: &mut E, table: &SymbolTable, batch: &EventBatch) {
-    let mut attrs = Vec::new();
-    for event in batch.events() {
-        match event.kind {
-            twigm_sax::BatchEventKind::Start => {
-                attrs.clear();
-                attrs.extend(batch.attrs_of(event));
-                let name = batch.str_of(event);
-                engine.start_element_sym(
-                    table.lookup(name),
-                    name,
-                    &attrs,
-                    event.level,
-                    NodeId::new(event.id),
-                );
-            }
-            twigm_sax::BatchEventKind::End => {
-                let name = batch.str_of(event);
-                engine.end_element_sym(table.lookup(name), name, event.level);
-            }
-            twigm_sax::BatchEventKind::Text => {
-                engine.text_at(batch.str_of(event), event.level);
-            }
-        }
-    }
-}
-
 /// Runs a union workload sharded across `shards.len()` worker threads.
 ///
 /// Each shard is a [`MultiTwigM`] holding a partition of the query set.
@@ -397,7 +356,9 @@ pub fn run_multi_sharded<R: Read + Send>(
                         Err(TryRecvError::Disconnected) => break,
                     };
                     received[k].fetch_add(1, Ordering::Relaxed);
-                    apply_batch_relookup(&mut engine, &local, &batch);
+                    // The producer interns every shard's names: re-map
+                    // them into this shard's own symbol space.
+                    replay_batch(&mut engine, &batch, Some(&local));
                 }
                 let ids = StreamEngine::take_results(&mut engine);
                 (ids, engine)

@@ -107,8 +107,8 @@ pub(crate) struct Ctx<'a, O, S> {
 
 /// One query's TwigM runtime and the only implementation of its δs/δe
 /// transitions. The owner routes each event to the machine nodes it
-/// concerns (`start`/`end` act on one node), tracks the document depth,
-/// and turns its live gauges into peak statistics.
+/// concerns (`start`/`end` act on one node) and turns its live gauges
+/// into peak statistics.
 pub(crate) struct TwigCore {
     machine: Machine,
     stacks: Vec<Vec<Entry>>,
@@ -495,8 +495,6 @@ impl TwigCore {
 /// `TwigM` (no parameter) is exactly the unobserved machine.
 pub struct TwigM<O: MachineObserver = NoopObserver> {
     core: TwigCore,
-    /// Level of the innermost open element (for routing text events).
-    depth: u32,
     results: Vec<NodeId>,
     stats: EngineStats,
     live: Gauges,
@@ -528,7 +526,6 @@ impl<O: MachineObserver> TwigM<O> {
     pub fn from_machine_with(machine: Machine, observer: O) -> Self {
         TwigM {
             core: TwigCore::new(machine, 0),
-            depth: 0,
             results: Vec::new(),
             stats: EngineStats::default(),
             live: Gauges::default(),
@@ -609,11 +606,19 @@ impl<O: MachineObserver> TwigM<O> {
             transition(core, v, &mut cx);
         }
     }
+}
 
+impl<O: MachineObserver> StreamEngine for TwigM<O> {
     /// δs (Algorithm 1), dispatching on an interned symbol.
-    fn start_sym(&mut self, sym: Symbol, attrs: &[Attribute<'_>], level: u32, id: NodeId) -> bool {
+    fn start_element(
+        &mut self,
+        sym: Symbol,
+        _name: &str,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+    ) -> bool {
         self.stats.start_events += 1;
-        self.depth = level;
         if O::ENABLED {
             self.observer.on_start_element(sym, level, id);
         }
@@ -630,9 +635,8 @@ impl<O: MachineObserver> TwigM<O> {
     }
 
     /// δe (Algorithm 1), dispatching on an interned symbol.
-    fn end_sym(&mut self, sym: Symbol, level: u32) {
+    fn end_element(&mut self, sym: Symbol, _name: &str, level: u32) {
         self.stats.end_events += 1;
-        self.depth = level.saturating_sub(1);
         if O::ENABLED {
             self.observer.on_end_element(sym, level);
         }
@@ -648,60 +652,15 @@ impl<O: MachineObserver> TwigM<O> {
             }
         }
     }
-}
-
-impl<O: MachineObserver> StreamEngine for TwigM<O> {
-    /// δs via the string path: one interner lookup, then symbol dispatch.
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        let sym = self.core.machine.symbols().lookup(tag);
-        self.start_sym(sym, attrs, level, id)
-    }
-
-    /// δs via a pre-looked-up symbol (the driver's hot path).
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        _tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(sym, attrs, level, id)
-    }
 
     /// Routes character data to entries that accumulate text: the top
-    /// entry of a text-needing node, if it corresponds to the innermost
-    /// open element.
-    fn text(&mut self, text: &str) {
-        self.core.text_at(text, self.depth)
-    }
-
-    /// Depth-explicit text routing. `self.depth` only advances on events
-    /// the machine actually receives, so under a prefiltered batch
-    /// stream the caller supplies the true containing level instead.
-    fn text_at(&mut self, text: &str, level: u32) {
+    /// entry of a text-needing node, if it is the containing element.
+    fn text(&mut self, text: &str, level: u32) {
         self.core.text_at(text, level)
     }
 
     fn relevance(&self) -> crate::relevance::Relevance {
         crate::relevance::machine_relevance(&self.core.machine)
-    }
-
-    /// δe via the string path.
-    fn end_element(&mut self, tag: &str, level: u32) {
-        let sym = self.core.machine.symbols().lookup(tag);
-        self.end_sym(sym, level)
-    }
-
-    /// δe via a pre-looked-up symbol.
-    fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
-        self.end_sym(sym, level)
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {
@@ -728,7 +687,7 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_engine;
+    use crate::engine::{run_engine, ByName};
     use twigm_xpath::parse;
 
     fn run(query: &str, xml: &str) -> Vec<u64> {
@@ -865,13 +824,13 @@ mod tests {
         // Text arriving in several events must concatenate before the
         // comparison at the end tag.
         let mut engine = TwigM::new(&parse("//t[text() = 'abc']").unwrap()).unwrap();
-        engine.start_element("r", &[], 1, NodeId::new(0));
-        engine.start_element("t", &[], 2, NodeId::new(1));
-        engine.text("a");
-        engine.text("b");
-        engine.text("c");
-        engine.end_element("t", 2);
-        engine.end_element("r", 1);
+        engine.start_named("r", &[], 1, NodeId::new(0));
+        engine.start_named("t", &[], 2, NodeId::new(1));
+        engine.text("a", 2);
+        engine.text("b", 2);
+        engine.text("c", 2);
+        engine.end_named("t", 2);
+        engine.end_named("r", 1);
         assert_eq!(engine.take_results().len(), 1);
     }
 
@@ -957,8 +916,8 @@ mod tests {
     #[test]
     fn empty_result_take_is_idempotent() {
         let mut engine = TwigM::new(&parse("//zzz").unwrap()).unwrap();
-        engine.start_element("r", &[], 1, NodeId::new(0));
-        engine.end_element("r", 1);
+        engine.start_named("r", &[], 1, NodeId::new(0));
+        engine.end_named("r", 1);
         assert!(engine.take_results().is_empty());
         assert!(engine.take_results().is_empty());
     }
@@ -968,10 +927,10 @@ mod tests {
         let q = parse("//a[b]").unwrap();
         let mut engine = TwigM::new(&q).unwrap();
         for _ in 0..2 {
-            engine.start_element("a", &[], 1, NodeId::new(0));
-            engine.start_element("b", &[], 2, NodeId::new(1));
-            engine.end_element("b", 2);
-            engine.end_element("a", 1);
+            engine.start_named("a", &[], 1, NodeId::new(0));
+            engine.start_named("b", &[], 2, NodeId::new(1));
+            engine.end_named("b", 2);
+            engine.end_named("a", 1);
             assert_eq!(engine.take_results().len(), 1);
             assert_eq!(engine.total_entries(), 0);
         }
@@ -1182,7 +1141,7 @@ mod not_count_tests {
 #[cfg(test)]
 mod eager_delivery_tests {
     use super::*;
-    use crate::engine::run_engine;
+    use crate::engine::{run_engine, ByName};
     use twigm_xpath::parse;
 
     fn run(query: &str, xml: &str) -> Vec<u64> {
@@ -1196,16 +1155,16 @@ mod eager_delivery_tests {
     #[test]
     fn satisfied_path_emits_at_start_tag() {
         let mut engine = TwigM::new(&parse("//a[d]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("d", &[], 2, NodeId::new(1));
-        engine.end_element("d", 2);
-        let was_candidate = engine.start_element("b", &[], 2, NodeId::new(2));
+        engine.start_named("a", &[], 1, NodeId::new(0));
+        engine.start_named("d", &[], 2, NodeId::new(1));
+        engine.end_named("d", 2);
+        let was_candidate = engine.start_named("b", &[], 2, NodeId::new(2));
         assert!(was_candidate);
         assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
         // Zero candidates ever buffered.
         assert_eq!(engine.stats().peak_candidates, 0);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end_named("b", 2);
+        engine.end_named("a", 1);
         assert!(engine.take_results().is_empty(), "no re-emission at pops");
     }
 
@@ -1222,14 +1181,14 @@ mod eager_delivery_tests {
     #[test]
     fn eager_with_or_formulas() {
         let mut engine = TwigM::new(&parse("//a[d or e]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("e", &[], 2, NodeId::new(1));
-        engine.end_element("e", 2);
-        engine.start_element("b", &[], 2, NodeId::new(2));
+        engine.start_named("a", &[], 1, NodeId::new(0));
+        engine.start_named("e", &[], 2, NodeId::new(1));
+        engine.end_named("e", 2);
+        engine.start_named("b", &[], 2, NodeId::new(2));
         // Or-formula already satisfied by e: emitted at start.
         assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end_named("b", 2);
+        engine.end_named("a", 1);
     }
 
     #[test]
@@ -1239,12 +1198,12 @@ mod eager_delivery_tests {
         let xml = "<r><a><d/><b/></a><a><d/><b/><c/></a></r>";
         assert_eq!(run("//a[d][not(c)]/b", xml), vec![3]);
         let mut engine = TwigM::new(&parse("//a[not(c)]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("b", &[], 2, NodeId::new(1));
-        engine.end_element("b", 2);
+        engine.start_named("a", &[], 1, NodeId::new(0));
+        engine.start_named("b", &[], 2, NodeId::new(1));
+        engine.end_named("b", 2);
         // Not yet decidable: c could still arrive.
         assert!(engine.take_results().is_empty());
-        engine.end_element("a", 1);
+        engine.end_named("a", 1);
         assert_eq!(engine.take_results(), vec![NodeId::new(1)]);
     }
 
@@ -1260,11 +1219,11 @@ mod eager_delivery_tests {
             name: "m",
             value: std::borrow::Cow::Borrowed("2"),
         }];
-        engine.start_element("a", &attr_k, 1, NodeId::new(0));
-        engine.start_element("b", &attr_m, 2, NodeId::new(1));
+        engine.start_named("a", &attr_k, 1, NodeId::new(0));
+        engine.start_named("b", &attr_m, 2, NodeId::new(1));
         assert_eq!(engine.take_results(), vec![NodeId::new(1)]);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end_named("b", 2);
+        engine.end_named("a", 1);
     }
 
     #[test]
@@ -1272,17 +1231,17 @@ mod eager_delivery_tests {
         // b's buffer in a until d arrives; the flush happens at </d>, not
         // at </a>.
         let mut engine = TwigM::new(&parse("//a[d]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
+        engine.start_named("a", &[], 1, NodeId::new(0));
         for i in 0..5u64 {
-            engine.start_element("b", &[], 2, NodeId::new(1 + i));
-            engine.end_element("b", 2);
+            engine.start_named("b", &[], 2, NodeId::new(1 + i));
+            engine.end_named("b", 2);
         }
         assert!(engine.take_results().is_empty());
         assert_eq!(engine.stats().peak_candidates, 5);
-        engine.start_element("d", &[], 2, NodeId::new(6));
-        engine.end_element("d", 2);
+        engine.start_named("d", &[], 2, NodeId::new(6));
+        engine.end_named("d", 2);
         assert_eq!(engine.take_results().len(), 5);
-        engine.end_element("a", 1);
+        engine.end_named("a", 1);
         assert!(engine.take_results().is_empty());
     }
 }

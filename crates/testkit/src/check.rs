@@ -304,7 +304,8 @@ mod tests {
         impl StreamEngine for LiarStats {
             fn start_element(
                 &mut self,
-                _tag: &str,
+                _sym: twigm_sax::Symbol,
+                _name: &str,
                 _attrs: &[twigm_sax::Attribute<'_>],
                 _level: u32,
                 id: NodeId,
@@ -312,7 +313,7 @@ mod tests {
                 self.1.push(id);
                 true
             }
-            fn end_element(&mut self, _tag: &str, _level: u32) {}
+            fn end_element(&mut self, _sym: twigm_sax::Symbol, _name: &str, _level: u32) {}
             fn take_results(&mut self) -> Vec<NodeId> {
                 std::mem::take(&mut self.1)
             }

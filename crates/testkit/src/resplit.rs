@@ -5,10 +5,13 @@
 //! Chunking is exercised through the public [`FeedReader`] push API —
 //! the seam a network or pipeline deployment would use — so a parse that
 //! resumes mid-tag, mid-entity-reference or mid-CDATA-section is
-//! byte-for-byte equivalent to a whole-buffer parse.
+//! byte-for-byte equivalent to a whole-buffer parse. The same document
+//! replayed from pre-parsed event batches ([`run_engine_batched`]) is the
+//! pipelined drivers' delivery of it.
 
-use twigm::engine::StreamEngine;
-use twigm_sax::{Attribute, FeedEvent, FeedReader, SaxError, Symbol};
+use twigm::engine::{drive, replay_batch, NoTelemetry, StreamEngine};
+use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
+use twigm_sax::{FeedReader, NodeId, SaxError, SaxReader, SymbolTable};
 
 /// A family of chunk boundaries to re-feed a document under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,65 +59,57 @@ pub fn split_points(xml: &[u8], strategy: SplitStrategy) -> Vec<usize> {
 }
 
 /// Runs `engine` over `xml` delivered as the chunks induced by `cuts`
-/// (sorted interior positions), via [`FeedReader`]. Returns the matched
-/// ids and the engine, mirroring `twigm::engine::run_engine`.
+/// (sorted interior positions), via [`FeedReader`] and the event driver.
+/// Returns the matched ids and the engine, mirroring
+/// `twigm::engine::run_engine`.
 pub fn run_engine_chunked<E: StreamEngine>(
     mut engine: E,
     xml: &[u8],
     cuts: &[usize],
-) -> Result<(Vec<twigm_sax::NodeId>, E), SaxError> {
-    let table = engine.symbols().cloned();
+) -> Result<(Vec<NodeId>, E), SaxError> {
     let mut parser = FeedReader::new();
     let mut start = 0usize;
-    let mut chunks: Vec<&[u8]> = Vec::with_capacity(cuts.len() + 1);
-    for &cut in cuts {
-        chunks.push(&xml[start..cut]);
-        start = cut;
-    }
-    chunks.push(&xml[start..]);
-
-    for (i, chunk) in chunks.iter().enumerate() {
-        parser.feed(chunk);
-        if i + 1 == chunks.len() {
+    for (i, end) in cuts.iter().copied().chain([xml.len()]).enumerate() {
+        parser.feed(&xml[start..end]);
+        start = end;
+        if i == cuts.len() {
             parser.finish();
         }
-        loop {
-            match parser.next_event()? {
-                FeedEvent::NeedData | FeedEvent::Done => break,
-                FeedEvent::Event(event) => match event {
-                    twigm_sax::Event::Start(tag) => {
-                        let sym = match &table {
-                            Some(t) => t.lookup(tag.name()),
-                            None => Symbol::UNKNOWN,
-                        };
-                        let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                        if table.is_none() || engine.needs_attributes(sym) {
-                            for a in tag.attributes() {
-                                attrs.push(a?);
-                            }
-                        }
-                        if table.is_some() {
-                            engine.start_element_sym(
-                                sym,
-                                tag.name(),
-                                &attrs,
-                                tag.level(),
-                                tag.id(),
-                            );
-                        } else {
-                            engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                        }
-                    }
-                    twigm_sax::Event::End(tag) => match &table {
-                        Some(t) => {
-                            engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level())
-                        }
-                        None => engine.end_element(tag.name(), tag.level()),
-                    },
-                    twigm_sax::Event::Text(t) => engine.text(&t),
-                    _ => {}
-                },
-            }
+        drive(&mut engine, &mut parser, &mut NoTelemetry)?;
+    }
+    let results = engine.take_results();
+    Ok((results, engine))
+}
+
+/// Runs `engine` over `xml` packed into deliver-all [`EventBatch`]es and
+/// replayed, as the pipelined drivers deliver it. With `relookup` off
+/// the batches are produced under the engine's own table and applied
+/// with [`StreamEngine::apply_batch`]. With it on they are produced under
+/// a table that numbers the names differently, and each name is looked
+/// up again in the engine's table, as the sharded workers do.
+pub fn run_engine_batched<E: StreamEngine>(
+    mut engine: E,
+    xml: &[u8],
+    relookup: bool,
+) -> Result<(Vec<NodeId>, E), SaxError> {
+    let own = engine.symbols().cloned().unwrap_or_default();
+    let plan_table = if relookup {
+        let mut shifted = SymbolTable::new();
+        shifted.intern("\u{0}not-a-tag");
+        for (_, name) in own.iter() {
+            shifted.intern(name);
+        }
+        shifted
+    } else {
+        own.clone()
+    };
+    let mut producer = BatchProducer::new(SaxReader::new(xml), BatchPlan::deliver_all(plan_table));
+    let mut batch = EventBatch::new();
+    while producer.next_batch(&mut batch, DEFAULT_BATCH_EVENTS)? {
+        if relookup {
+            replay_batch(&mut engine, &batch, Some(&own));
+        } else {
+            engine.apply_batch(&batch);
         }
     }
     let results = engine.take_results();

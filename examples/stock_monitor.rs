@@ -13,7 +13,7 @@
 use std::io::Read;
 use std::sync::mpsc;
 
-use twigm::{StreamEngine, TwigM};
+use twigm::{ByName, StreamEngine, TwigM};
 use twigm_sax::{Attribute, Event, SaxReader};
 use twigm_xpath::parse;
 
@@ -79,15 +79,21 @@ fn main() {
     let mut alerts = 0u64;
     let mut events = 0u64;
     let mut first_alert_event = None;
+    // Level of the innermost open element, which text belongs to.
+    let mut depth = 0;
     while let Some(event) = reader.next_event().expect("well-formed feed") {
         events += 1;
         match event {
             Event::Start(tag) => {
                 let attrs: Vec<Attribute<'_>> = tag.attributes().collect::<Result<_, _>>().unwrap();
-                engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
+                depth = tag.level();
+                engine.start_named(tag.name(), &attrs, depth, tag.id());
             }
-            Event::End(tag) => engine.end_element(tag.name(), tag.level()),
-            Event::Text(t) => engine.text(&t),
+            Event::End(tag) => {
+                engine.end_named(tag.name(), tag.level());
+                depth = tag.level() - 1;
+            }
+            Event::Text(t) => engine.text(&t, depth),
             _ => {}
         }
         // Drain incrementally: matches surface while the stream is live.

@@ -23,6 +23,11 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test -q --workspace
 
+# perfbench is a Cargo workspace of its own, so the steps above never
+# build it: a core API change that breaks the benchmark fails here.
+echo "==> perfbench tests"
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 # Time-bounded seeded fuzz over the release binary: same fixed seed every
 # run, so a red stage is reproducible with
 #   target/release/testkit-fuzz --seed 0x7716.. --cases N

@@ -179,107 +179,54 @@ fn union_evaluation_matches_per_branch_oracle() {
 // ---------------------------------------------------------------------
 // Seeded differential sweep: documents derived from one SplitMix64
 // stream × the benchmark query corpus, every applicable engine, through
-// BOTH the string and the symbol entry points.
+// BOTH delivery paths: the event driver over the SAX reader and the
+// replay of pre-parsed event batches.
 // ---------------------------------------------------------------------
 
 use twigm::engine::StreamEngine;
-use twigm::stats::EngineStats;
 use twigm::BranchM;
 use twigm_datagen::SplitMix64;
-use twigm_sax::Attribute;
-
-/// Forwards only the string entry points and hides the inner engine's
-/// symbol table, so `run_engine` exercises the string-fallback driver
-/// path (the pre-interning behavior).
-struct StringOnly<E>(E);
-
-impl<E: StreamEngine> StreamEngine for StringOnly<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.0.start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        self.0.text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.0.end_element(tag, level)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        self.0.take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        self.0.stats()
-    }
-}
+use twigm_testkit::resplit::run_engine_batched;
 
 /// One differential case: every engine whose language covers `text`
-/// must reproduce the oracle's id set through both entry paths.
+/// must reproduce the oracle's id set through both delivery paths.
 fn differential_case(oracle: &mut InMemEval<'_>, xml: &[u8], text: &str) {
     let query = parse(text).unwrap();
     let expected = sorted(oracle.evaluate(&query));
-
-    let sym = sorted(run_engine(TwigM::new(&query).unwrap(), xml).unwrap().0);
-    assert_eq!(sym, expected, "TwigM (symbol path) vs oracle on {text}");
-    let string = sorted(
-        run_engine(StringOnly(TwigM::new(&query).unwrap()), xml)
-            .unwrap()
-            .0,
-    );
-    assert_eq!(string, expected, "TwigM (string path) vs oracle on {text}");
-
-    let naive = sorted(run_engine(NaiveEnum::new(&query).unwrap(), xml).unwrap().0);
-    assert_eq!(
-        naive, expected,
-        "NaiveEnum (symbol path) vs oracle on {text}"
-    );
-    let naive_str = sorted(
-        run_engine(StringOnly(NaiveEnum::new(&query).unwrap()), xml)
-            .unwrap()
-            .0,
-    );
-    assert_eq!(
-        naive_str, expected,
-        "NaiveEnum (string path) vs oracle on {text}"
-    );
-
+    check_both_paths("TwigM", text, xml, &expected, || {
+        TwigM::new(&query).unwrap()
+    });
+    check_both_paths("NaiveEnum", text, xml, &expected, || {
+        NaiveEnum::new(&query).unwrap()
+    });
     if query.is_predicate_free() {
-        let path = sorted(run_engine(PathM::new(&query).unwrap(), xml).unwrap().0);
-        assert_eq!(path, expected, "PathM (symbol path) vs oracle on {text}");
-        let path_str = sorted(
-            run_engine(StringOnly(PathM::new(&query).unwrap()), xml)
-                .unwrap()
-                .0,
-        );
-        assert_eq!(
-            path_str, expected,
-            "PathM (string path) vs oracle on {text}"
-        );
+        check_both_paths("PathM", text, xml, &expected, || {
+            PathM::new(&query).unwrap()
+        });
     }
     if query.is_branch_only() {
-        let branch = sorted(run_engine(BranchM::new(&query).unwrap(), xml).unwrap().0);
-        assert_eq!(
-            branch, expected,
-            "BranchM (symbol path) vs oracle on {text}"
-        );
-        let branch_str = sorted(
-            run_engine(StringOnly(BranchM::new(&query).unwrap()), xml)
-                .unwrap()
-                .0,
-        );
-        assert_eq!(
-            branch_str, expected,
-            "BranchM (string path) vs oracle on {text}"
-        );
+        check_both_paths("BranchM", text, xml, &expected, || {
+            BranchM::new(&query).unwrap()
+        });
     }
+}
+
+/// Runs a fresh engine from `make` through the driver and through the
+/// batch replay; both must give `expected`.
+fn check_both_paths<E: StreamEngine>(
+    name: &str,
+    text: &str,
+    xml: &[u8],
+    expected: &[u64],
+    make: impl Fn() -> E,
+) {
+    let driven = sorted(run_engine(make(), xml).unwrap().0);
+    assert_eq!(driven, expected, "{name} (driver) vs oracle on {text}");
+    let replayed = sorted(run_engine_batched(make(), xml, false).unwrap().0);
+    assert_eq!(
+        replayed, expected,
+        "{name} (batch replay) vs oracle on {text}"
+    );
 }
 
 /// The hermetic replacement for the proptest differential suite: one

@@ -9,7 +9,7 @@
 //! that separates TwigM from the enumeration systems of §5.
 
 use twigm::engine::run_engine;
-use twigm::{BranchM, MultiTwigM, PathM, StreamEngine, TwigM};
+use twigm::{BranchM, ByName, MultiTwigM, PathM, StreamEngine, TwigM};
 use twigm_baselines::NaiveEnum;
 use twigm_datagen::recursive::random_recursive;
 use twigm_datagen::SplitMix64;
@@ -188,7 +188,6 @@ fn deep_recursion_bound_holds_on_every_engine() {
 fn figure2_snapshot_matches_the_paper() {
     let query = parse("//a//b//c").unwrap();
 
-    // Through the string entry point.
     let mut engine = TwigM::new(&query).unwrap();
     for (tag, level, id) in [
         ("a", 1, 0),
@@ -197,30 +196,13 @@ fn figure2_snapshot_matches_the_paper() {
         ("b", 4, 3),
         ("c", 5, 4),
     ] {
-        engine.start_element(tag, &[], level, NodeId::new(id));
-    }
-    assert_eq!(engine.stack_levels(), vec![vec![1, 2], vec![3, 4], vec![5]]);
-
-    // And identically through the symbol entry point.
-    let mut engine = TwigM::new(&query).unwrap();
-    let table = engine
-        .symbols()
-        .cloned()
-        .expect("TwigM exposes its interner");
-    for (tag, level, id) in [
-        ("a", 1, 0),
-        ("a", 2, 1),
-        ("b", 3, 2),
-        ("b", 4, 3),
-        ("c", 5, 4),
-    ] {
-        engine.start_element_sym(table.lookup(tag), tag, &[], level, NodeId::new(id));
+        engine.start_named(tag, &[], level, NodeId::new(id));
     }
     assert_eq!(engine.stack_levels(), vec![vec![1, 2], vec![3, 4], vec![5]]);
 
     // Closing the document drains every stack.
     for (tag, level) in [("c", 5), ("b", 4), ("b", 3), ("a", 2), ("a", 1)] {
-        engine.end_element_sym(table.lookup(tag), tag, level);
+        engine.end_named(tag, level);
     }
     assert!(engine.stack_levels().iter().all(Vec::is_empty));
 }

@@ -178,61 +178,36 @@ fn peak_entries_constant_as_data_grows() {
 
 // ---------------------------------------------------------------------
 // Golden pins for figures 2–4: exact NodeId sets, every engine whose
-// language covers the query, through BOTH entry paths (the string
-// fallback and the symbol-dispatch hot path).
+// language covers the query, through BOTH delivery paths (the event
+// driver over the SAX reader and the replay of pre-parsed batches).
 // ---------------------------------------------------------------------
 
-use twigm::stats::EngineStats;
 use twigm::MultiTwigM;
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::Attribute;
+use twigm_testkit::resplit::run_engine_batched;
 
-/// Forwards only the string entry points and hides the inner engine's
-/// symbol table, forcing `run_engine` onto the string-fallback path.
-struct StringOnly<E>(E);
-
-impl<E: StreamEngine> StreamEngine for StringOnly<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.0.start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        self.0.text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.0.end_element(tag, level)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        self.0.take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        self.0.stats()
-    }
+/// Sorted ids from the batch replay of `xml`.
+fn replayed_ids<E: StreamEngine>(engine: E, xml: &str) -> Vec<u64> {
+    let (ids, _) = run_engine_batched(engine, xml.as_bytes(), false).unwrap();
+    let mut ids: Vec<u64> = ids.into_iter().map(NodeId::get).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Asserts `query` over `xml` yields exactly `expected` (sorted ids)
-/// from every applicable engine on both entry paths.
+/// from every applicable engine on both delivery paths.
 fn golden(query_text: &str, xml: &str, expected: &[u64]) {
     let query = parse(query_text).unwrap();
 
     assert_eq!(
         ids(TwigM::new(&query).unwrap(), xml),
         expected,
-        "TwigM sym: {query_text}"
+        "TwigM: {query_text}"
     );
     assert_eq!(
-        ids(StringOnly(TwigM::new(&query).unwrap()), xml),
+        replayed_ids(TwigM::new(&query).unwrap(), xml),
         expected,
-        "TwigM str: {query_text}"
+        "TwigM replay: {query_text}"
     );
     assert_eq!(
         ids(Engine::new(&query).unwrap(), xml),
@@ -242,23 +217,23 @@ fn golden(query_text: &str, xml: &str, expected: &[u64]) {
     assert_eq!(
         ids(NaiveEnum::new(&query).unwrap(), xml),
         expected,
-        "NaiveEnum sym: {query_text}"
+        "NaiveEnum: {query_text}"
     );
     assert_eq!(
-        ids(StringOnly(NaiveEnum::new(&query).unwrap()), xml),
+        replayed_ids(NaiveEnum::new(&query).unwrap(), xml),
         expected,
-        "NaiveEnum str: {query_text}"
+        "NaiveEnum replay: {query_text}"
     );
     if query.is_predicate_free() {
         assert_eq!(
             ids(PathM::new(&query).unwrap(), xml),
             expected,
-            "PathM sym: {query_text}"
+            "PathM: {query_text}"
         );
         assert_eq!(
-            ids(StringOnly(PathM::new(&query).unwrap()), xml),
+            replayed_ids(PathM::new(&query).unwrap(), xml),
             expected,
-            "PathM str: {query_text}"
+            "PathM replay: {query_text}"
         );
         assert_eq!(
             ids(LazyDfa::new(&query).unwrap(), xml),
@@ -270,15 +245,15 @@ fn golden(query_text: &str, xml: &str, expected: &[u64]) {
         assert_eq!(
             ids(BranchM::new(&query).unwrap(), xml),
             expected,
-            "BranchM sym: {query_text}"
+            "BranchM: {query_text}"
         );
         assert_eq!(
-            ids(StringOnly(BranchM::new(&query).unwrap()), xml),
+            replayed_ids(BranchM::new(&query).unwrap(), xml),
             expected,
-            "BranchM str: {query_text}"
+            "BranchM replay: {query_text}"
         );
     }
-    // The shared multi-query engine (always on the symbol path).
+    // The shared multi-query engine.
     let mut multi = MultiTwigM::new();
     let qid = multi.add_query(&query).unwrap();
     let mut got: Vec<u64> = multi

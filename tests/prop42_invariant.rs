@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use twigm::machine::Machine;
-use twigm::{StreamEngine, TwigM};
+use twigm::{ByName, StreamEngine, TwigM};
 use twigm_sax::{Event, NodeId, SaxReader};
 use twigm_xpath::{parse, Path};
 
@@ -70,14 +70,14 @@ fn check_invariant_throughout(query: &Path, xml: &str) -> Result<(), TestCaseErr
                     tag: tag.name().to_string(),
                     level: tag.level(),
                 });
-                engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
+                engine.start_named(tag.name(), &attrs, tag.level(), tag.id());
             }
             Event::End(tag) => {
-                engine.end_element(tag.name(), tag.level());
+                engine.end_named(tag.name(), tag.level());
                 actives.pop();
             }
             Event::Text(t) => {
-                engine.text(&t);
+                engine.text(&t, actives.len() as u32);
                 continue;
             }
             _ => continue,
@@ -158,7 +158,7 @@ fn figure2_snapshot_matches_the_paper() {
         ("b", 4, 3),
         ("c", 5, 4),
     ] {
-        engine.start_element(tag, &[], level, NodeId::new(id));
+        engine.start_named(tag, &[], level, NodeId::new(id));
     }
     assert_eq!(engine.stack_levels(), vec![vec![1, 2], vec![3, 4], vec![5]]);
 }

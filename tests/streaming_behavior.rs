@@ -3,7 +3,7 @@
 //! pathological inputs.
 
 use twigm::engine::run_engine;
-use twigm::{PathM, StreamEngine, TwigM};
+use twigm::{ByName, PathM, StreamEngine, TwigM};
 use twigm_sax::NodeId;
 use twigm_xpath::parse;
 
@@ -13,9 +13,9 @@ use twigm_xpath::parse;
 fn pathm_emits_at_start_tag() {
     let query = parse("//a/b").unwrap();
     let mut engine = PathM::new(&query).unwrap();
-    engine.start_element("r", &[], 1, NodeId::new(0));
-    engine.start_element("a", &[], 2, NodeId::new(1));
-    let was_candidate = engine.start_element("b", &[], 3, NodeId::new(2));
+    engine.start_named("r", &[], 1, NodeId::new(0));
+    engine.start_named("a", &[], 2, NodeId::new(1));
+    let was_candidate = engine.start_named("b", &[], 3, NodeId::new(2));
     assert!(was_candidate);
     // The result is available immediately, with the element still open.
     assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
@@ -28,25 +28,25 @@ fn pathm_emits_at_start_tag() {
 fn twigm_emits_when_decidable_not_at_eof() {
     let query = parse("//a[d]/b").unwrap();
     let mut engine = TwigM::new(&query).unwrap();
-    engine.start_element("r", &[], 1, NodeId::new(0));
-    engine.start_element("a", &[], 2, NodeId::new(1));
-    engine.start_element("b", &[], 3, NodeId::new(2));
-    engine.end_element("b", 3);
+    engine.start_named("r", &[], 1, NodeId::new(0));
+    engine.start_named("a", &[], 2, NodeId::new(1));
+    engine.start_named("b", &[], 3, NodeId::new(2));
+    engine.end_named("b", 3);
     assert!(
         engine.take_results().is_empty(),
         "undecidable before the predicate resolves"
     );
-    engine.start_element("d", &[], 3, NodeId::new(3));
-    engine.end_element("d", 3);
+    engine.start_named("d", &[], 3, NodeId::new(3));
+    engine.end_named("d", 3);
     // The </d> completed a's branch match: b is decided immediately.
     assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
     // A later b is decided at its own START tag (a's formula already
     // holds along the chain).
-    engine.start_element("b", &[], 3, NodeId::new(4));
+    engine.start_named("b", &[], 3, NodeId::new(4));
     assert_eq!(engine.take_results(), vec![NodeId::new(4)]);
-    engine.end_element("b", 3);
-    engine.end_element("a", 2);
-    engine.end_element("r", 1);
+    engine.end_named("b", 3);
+    engine.end_named("a", 2);
+    engine.end_named("r", 1);
     assert!(engine.take_results().is_empty(), "no duplicates at pops");
 }
 
@@ -110,11 +110,11 @@ fn split_text_events_evaluate_like_whole_text() {
     let query = parse("//t[text() = 'hello world']").unwrap();
     let run_split = |chunks: &[&str]| {
         let mut engine = TwigM::new(&query).unwrap();
-        engine.start_element("t", &[], 1, NodeId::new(0));
+        engine.start_named("t", &[], 1, NodeId::new(0));
         for c in chunks {
-            engine.text(c);
+            engine.text(c, 1);
         }
-        engine.end_element("t", 1);
+        engine.end_named("t", 1);
         engine.take_results().len()
     };
     assert_eq!(run_split(&["hello world"]), 1);
@@ -129,13 +129,13 @@ fn incremental_draining_is_exact() {
     let query = parse("//a").unwrap();
     let mut engine = PathM::new(&query).unwrap();
     let mut total = 0;
-    engine.start_element("r", &[], 1, NodeId::new(0));
+    engine.start_named("r", &[], 1, NodeId::new(0));
     for i in 0..100u64 {
-        engine.start_element("a", &[], 2, NodeId::new(i + 1));
-        engine.end_element("a", 2);
+        engine.start_named("a", &[], 2, NodeId::new(i + 1));
+        engine.end_named("a", 2);
         total += engine.take_results().len();
     }
-    engine.end_element("r", 1);
+    engine.end_named("r", 1);
     total += engine.take_results().len();
     assert_eq!(total, 100);
 }
