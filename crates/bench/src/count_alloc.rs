@@ -108,11 +108,17 @@ mod alloc_impl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The counters are process-global, so the tests that move them run
+    /// one at a time.
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     // The allocator is not registered in unit tests (that would affect
     // every test in the crate); exercise the counter logic directly.
     #[test]
     fn counters_track_alloc_dealloc() {
+        let _serial = COUNTERS.lock().unwrap();
         let base = CountingAllocator::reset_peak();
         on_alloc(1000);
         assert!(CountingAllocator::live() >= base + 1000);
@@ -123,6 +129,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases_to_live() {
+        let _serial = COUNTERS.lock().unwrap();
         on_alloc(5000);
         let live = CountingAllocator::reset_peak();
         assert_eq!(CountingAllocator::peak(), live);

@@ -243,7 +243,7 @@ fn run_union(
 }
 
 /// The threaded union path: branches are partitioned round-robin over
-/// `threads - 1` worker engines, each fed the batched event stream, and
+/// `threads - 1` shard engines, each fed the batched event stream, and
 /// the per-shard result sets merge into document order — byte-identical
 /// to the serial union output.
 fn run_union_sharded(

@@ -3,35 +3,44 @@
 //!
 //! The serial driver ([`crate::engine::run_engine`]) interleaves
 //! scanning and evaluation on one thread; end-to-end time is the *sum*
-//! of parse and evaluation cost. The pipelined driver decouples them:
+//! of parse and evaluation cost. Both pipelined drivers split that pass
+//! over one producer/consumer core:
 //!
-//! * a **producer thread** runs the [`SaxReader`] and packs events into
+//! * one **producer thread** runs the [`SaxReader`] and packs events into
 //!   fixed-capacity [`EventBatch`]es (interned symbols, flat string
 //!   arena — no per-event allocation), applying the symbol-relevance
-//!   **prefilter** so events no query can dispatch on never cross the
+//!   **prefilter** so events no consumer can dispatch on never cross a
 //!   channel;
-//! * batches flow through a **bounded channel** (backpressure: the
-//!   producer blocks when consumers lag) and drained batches are
-//!   recycled back, so the steady state performs no per-batch heap
-//!   traffic;
-//! * the **consumer** applies whole batches via
-//!   [`StreamEngine::apply_batch`] on the calling thread
-//!   ([`run_engine_pipelined`]), or — for multi-query union workloads —
-//!   the query set is **sharded** across worker threads that each
-//!   receive a broadcast of the batch stream
-//!   ([`run_multi_sharded`]), with results merged deterministically in
-//!   document order.
+//! * it **broadcasts** each batch, behind an `Arc`, to K bounded
+//!   channels, one per consumer (backpressure: the producer blocks when
+//!   any consumer lags). Whichever consumer drops the last reference
+//!   frees the batch, so live batch memory is only what is in flight;
+//! * the producer thread returns its counters, or the scan error that
+//!   ended the stream, through its `JoinHandle`;
+//! * **consumer 0 is the calling thread**, so a single-query engine need
+//!   not be `Send`; consumers 1..K are spawned workers. Every consumer
+//!   runs the same loop.
+//!
+//! [`run_engine_pipelined`] is the core with one consumer. There the
+//! plan's symbol table is that consumer's own, so the stored symbols are
+//! dispatched directly ([`StreamEngine::apply_batch`]). [`run_multi_sharded`]
+//! puts one [`MultiTwigM`] shard on each consumer. Each shard interns its
+//! own symbol space, so the producer scans under a name-merged union
+//! table and each consumer looks the names up again in its own table
+//! ([`replay_batch`] with `Some(table)`). Shard results are merged
+//! deterministically in document order.
 //!
 //! End-to-end time becomes `max(parse, evaluate)` plus channel overhead
 //! instead of `parse + evaluate`, and the prefilter shrinks the
 //! `evaluate` term further. Every configuration returns byte-identical
-//! results to the serial driver; the differential suite in
-//! `twigm-testkit` enforces this over the generator corpus.
+//! results, and the same scan error, as the serial driver; the
+//! differential suite in `twigm-testkit` enforces this over the
+//! generator corpus.
 
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 
 use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
@@ -79,42 +88,230 @@ pub struct PipelineStats {
     pub events_delivered: u64,
     /// Events the prefilter dropped (plus ignored comments/PIs).
     pub events_filtered: u64,
-    /// Times the producer found the queue full and had to block.
+    /// Times the producer found a queue full and had to block.
     pub producer_stalls: u64,
-    /// Times a consumer found the queue empty and had to block.
+    /// Times a consumer found its queue empty and had to block.
     pub consumer_stalls: u64,
-    /// Peak number of in-flight batches observed.
+    /// Peak number of batches in flight to one consumer, sampled by the
+    /// producer just before each hand-off (the batch being handed over
+    /// counts).
     pub max_queue_depth: u64,
     /// Bytes consumed from the input stream.
     pub bytes: u64,
 }
 
-/// Builds the producer-side delivery plan from a consuming engine:
-/// clones its interner, snapshots its per-symbol attribute needs, and —
-/// when `prefilter` is on — its relevance analysis.
-fn plan_for<E: StreamEngine>(engine: &E, table: SymbolTable, prefilter: bool) -> BatchPlan {
+/// Builds the producer's delivery plan for a set of consumers. The
+/// table interns every consumer's names in order, so for one consumer it
+/// equals that consumer's own table; attribute needs and relevance are
+/// merged name-wise. An engine without a table contributes no names:
+/// every tag it sees is `Symbol::UNKNOWN`, as in the serial driver.
+fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> BatchPlan {
+    let no_table = SymbolTable::new();
+    let tables: Vec<&SymbolTable> = consumers
+        .iter()
+        .map(|c| c.symbols().unwrap_or(&no_table))
+        .collect();
+    let mut table = SymbolTable::new();
+    for local in &tables {
+        for (_, name) in local.iter() {
+            table.intern(name);
+        }
+    }
     let attr_syms = table
         .iter()
-        .map(|(sym, _)| engine.needs_attributes(sym))
+        .map(|(_, name)| {
+            consumers.iter().zip(&tables).any(|(c, local)| {
+                let sym = local.lookup(name);
+                sym.is_known() && c.needs_attributes(sym)
+            })
+        })
         .collect();
-    let attr_unknown = engine.needs_attributes(Symbol::UNKNOWN);
-    let rel = if prefilter {
-        engine.relevance()
-    } else {
-        Relevance::all()
-    };
+    let attr_unknown = consumers
+        .iter()
+        .any(|c| c.needs_attributes(Symbol::UNKNOWN));
+    let mut relevant = prefilter.then(|| vec![false; table.len()]);
+    let mut wants_text = false;
+    for (c, local) in consumers.iter().zip(&tables) {
+        let rel = if prefilter {
+            c.relevance()
+        } else {
+            Relevance::all()
+        };
+        wants_text |= rel.wants_text;
+        match (&mut relevant, rel.symbols) {
+            (Some(union), Some(own)) => {
+                for (sym, name) in local.iter() {
+                    if own.get(sym.index().expect("iterated symbols are known")) == Some(&true) {
+                        union[table.lookup(name).index().expect("interned above")] = true;
+                    }
+                }
+            }
+            (slot, _) => *slot = None,
+        }
+    }
     BatchPlan {
         table,
         attr_syms,
         attr_unknown,
-        relevant: rel.symbols,
-        wants_text: rel.wants_text,
+        relevant,
+        wants_text,
     }
 }
 
-/// What flows producer → consumer: a recycled batch, or the scan error
-/// that ended the stream.
-type BatchMsg = Result<Box<EventBatch>, SaxError>;
+/// The producer loop: scans `src` under `plan` and broadcasts every
+/// batch to each channel in `txs`. Returns every [`PipelineStats`]
+/// counter it owns (all but `threads` and `consumer_stalls`), or the
+/// scan error that ended the stream.
+fn produce<R: Read>(
+    src: R,
+    plan: BatchPlan,
+    batch_events: usize,
+    txs: Vec<SyncSender<Arc<EventBatch>>>,
+    received: &[AtomicU64],
+) -> Result<PipelineStats, SaxError> {
+    let mut producer = BatchProducer::new(SaxReader::new(src), plan);
+    let mut stats = PipelineStats::default();
+    loop {
+        // A fresh batch each time, freed when its last consumer drops it:
+        // a recycling pool would keep a full batch parked while the next
+        // one fills, which raises the peak heap by about a batch.
+        let mut batch = EventBatch::new();
+        if !producer.next_batch(&mut batch, batch_events)? {
+            break;
+        }
+        stats.batches += 1;
+        stats.events_scanned += batch.scanned;
+        stats.events_filtered += batch.filtered;
+        stats.events_delivered += batch.len() as u64;
+        let batch = Arc::new(batch);
+        let handed = txs
+            .iter()
+            .zip(received)
+            .all(|(tx, r)| hand_off(tx, Arc::clone(&batch), r, &mut stats));
+        if !handed {
+            break;
+        }
+    }
+    stats.bytes = producer.bytes_consumed();
+    // Dropping `txs` closes every consumer channel.
+    Ok(stats)
+}
+
+/// Hands one batch reference to a consumer, sampling its queue depth
+/// first so the batch being handed over counts. `false` when the
+/// consumer is gone.
+fn hand_off(
+    tx: &SyncSender<Arc<EventBatch>>,
+    batch: Arc<EventBatch>,
+    received: &AtomicU64,
+    stats: &mut PipelineStats,
+) -> bool {
+    let in_flight = stats.batches - received.load(Ordering::Relaxed);
+    stats.max_queue_depth = stats.max_queue_depth.max(in_flight);
+    match tx.try_send(batch) {
+        Ok(()) => true,
+        Err(TrySendError::Full(batch)) => {
+            stats.producer_stalls += 1;
+            tx.send(batch).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    }
+}
+
+/// The consumer loop: applies every batch from `rx` to `engine`. With
+/// `relookup`, names are looked up again in that table (the producer
+/// ran under a union table); without it the stored symbols are the
+/// engine's own. Returns the number of times the queue was empty.
+fn consume<E: StreamEngine + ?Sized>(
+    engine: &mut E,
+    rx: Receiver<Arc<EventBatch>>,
+    relookup: Option<SymbolTable>,
+    received: &AtomicU64,
+) -> u64 {
+    let mut stalls = 0;
+    loop {
+        let batch = match rx.try_recv() {
+            Ok(batch) => batch,
+            Err(TryRecvError::Empty) => {
+                stalls += 1;
+                match rx.recv() {
+                    Ok(batch) => batch,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        received.fetch_add(1, Ordering::Relaxed);
+        match &relookup {
+            None => engine.apply_batch(&batch),
+            Some(table) => replay_batch(engine, &batch, Some(table)),
+        }
+    }
+    stalls
+}
+
+/// The one pipeline core: a producer thread feeding `first` on the
+/// calling thread and each of `workers` on a thread of its own. Returns
+/// the workers, in order, with the run's counters.
+fn run_batched<E: StreamEngine, R: Read + Send>(
+    first: &mut E,
+    workers: Vec<MultiTwigM>,
+    src: R,
+    opts: &PipelineOptions,
+) -> Result<(Vec<MultiTwigM>, PipelineStats), SaxError> {
+    let consumers = workers.len() + 1;
+    let plan = {
+        let mut all: Vec<&dyn StreamEngine> = vec![&*first];
+        all.extend(workers.iter().map(|w| w as &dyn StreamEngine));
+        plan_for(&all, opts.prefilter)
+    };
+    // One consumer owns the plan's table; several re-look names up.
+    let relookup =
+        |e: &dyn StreamEngine| (consumers > 1).then(|| e.symbols().cloned().unwrap_or_default());
+    let batch_events = opts.batch_events.max(1);
+    let queue_depth = opts.queue_depth.max(1);
+
+    let (txs, mut rxs): (Vec<_>, Vec<_>) =
+        (0..consumers).map(|_| sync_channel(queue_depth)).unzip();
+    let received: Vec<AtomicU64> = (0..consumers).map(|_| AtomicU64::new(0)).collect();
+    let first_rx = rxs.remove(0);
+
+    thread::scope(|scope| {
+        let received = &received[..];
+        let producer = scope.spawn(move || produce(src, plan, batch_events, txs, received));
+        let handles: Vec<_> = workers
+            .into_iter()
+            .zip(rxs)
+            .zip(&received[1..])
+            .map(|((mut worker, rx), received)| {
+                let table = relookup(&worker);
+                scope.spawn(move || {
+                    let stalls = consume(&mut worker, rx, table, received);
+                    (worker, stalls)
+                })
+            })
+            .collect();
+        let table = relookup(&*first);
+        let mut consumer_stalls = consume(first, first_rx, table, &received[0]);
+        let workers = handles
+            .into_iter()
+            .map(|h| {
+                let (worker, stalls) = h.join().expect("shard worker panicked");
+                consumer_stalls += stalls;
+                worker
+            })
+            .collect();
+        let stats = producer.join().expect("pipeline producer panicked")?;
+        Ok((
+            workers,
+            PipelineStats {
+                threads: consumers + 1,
+                consumer_stalls,
+                ..stats
+            },
+        ))
+    })
+}
 
 /// Runs `engine` over `src` with scanning pipelined onto a producer
 /// thread. Results are identical to [`crate::engine::run_engine`]; the
@@ -124,109 +321,7 @@ pub fn run_engine_pipelined<E: StreamEngine, R: Read + Send>(
     src: R,
     opts: &PipelineOptions,
 ) -> Result<(Vec<NodeId>, E, PipelineStats), SaxError> {
-    // An engine without a table gets an empty one: every tag is
-    // `Symbol::UNKNOWN`, as in the serial driver.
-    let table = engine.symbols().cloned().unwrap_or_default();
-    let plan = plan_for(&engine, table, opts.prefilter);
-    let batch_events = opts.batch_events.max(1);
-    let queue_depth = opts.queue_depth.max(1);
-
-    let (full_tx, full_rx) = sync_channel::<BatchMsg>(queue_depth);
-    let (free_tx, free_rx) = std::sync::mpsc::channel::<Box<EventBatch>>();
-    // Seed the recycle loop: queue_depth in flight, one being filled,
-    // one being consumed.
-    for _ in 0..queue_depth + 2 {
-        free_tx
-            .send(Box::new(EventBatch::new()))
-            .expect("receiver held");
-    }
-
-    let producer_stalls = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let sent = AtomicU64::new(0);
-    let received = AtomicU64::new(0);
-    let max_depth = AtomicU64::new(0);
-
-    let mut stats = PipelineStats {
-        threads: 2,
-        ..PipelineStats::default()
-    };
-    let mut error: Option<SaxError> = None;
-
-    thread::scope(|scope| {
-        let producer_stalls = &producer_stalls;
-        let bytes = &bytes;
-        let sent = &sent;
-        let received = &received;
-        let max_depth = &max_depth;
-        scope.spawn(move || {
-            let mut producer = BatchProducer::new(SaxReader::new(src), plan);
-            while let Ok(mut batch) = free_rx.recv() {
-                match producer.next_batch(&mut batch, batch_events) {
-                    Ok(true) => {
-                        let mut msg = Ok(batch);
-                        match full_tx.try_send(msg) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(back)) => {
-                                producer_stalls.fetch_add(1, Ordering::Relaxed);
-                                msg = back;
-                                if full_tx.send(msg).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                        let in_flight = sent.fetch_add(1, Ordering::Relaxed) + 1
-                            - received.load(Ordering::Relaxed);
-                        max_depth.fetch_max(in_flight, Ordering::Relaxed);
-                    }
-                    Ok(false) => break,
-                    Err(e) => {
-                        let _ = full_tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-            bytes.store(producer.bytes_consumed(), Ordering::Relaxed);
-        });
-
-        // Consumer: the calling thread, so `E: Send` is not required.
-        loop {
-            let msg = match full_rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => {
-                    stats.consumer_stalls += 1;
-                    match full_rx.recv() {
-                        Ok(msg) => msg,
-                        Err(_) => break,
-                    }
-                }
-                Err(TryRecvError::Disconnected) => break,
-            };
-            let batch = match msg {
-                Ok(batch) => batch,
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            };
-            received.fetch_add(1, Ordering::Relaxed);
-            stats.batches += 1;
-            stats.events_scanned += batch.scanned;
-            stats.events_filtered += batch.filtered;
-            stats.events_delivered += batch.len() as u64;
-            engine.apply_batch(&batch);
-            // Recycle; the producer may already be gone.
-            let _ = free_tx.send(batch);
-        }
-    });
-
-    if let Some(e) = error {
-        return Err(e);
-    }
-    stats.producer_stalls = producer_stalls.load(Ordering::Relaxed);
-    stats.max_queue_depth = max_depth.load(Ordering::Relaxed);
-    stats.bytes = bytes.load(Ordering::Relaxed);
+    let (_, stats) = run_batched(&mut engine, Vec::new(), src, opts)?;
     let results = engine.take_results();
     Ok((results, engine, stats))
 }
@@ -247,213 +342,37 @@ pub struct ShardedOutcome {
     pub pipeline: PipelineStats,
 }
 
-/// Runs a union workload sharded across `shards.len()` worker threads.
+/// Runs a union workload sharded across `shards.len()` consumers.
 ///
 /// Each shard is a [`MultiTwigM`] holding a partition of the query set.
-/// One producer thread scans `src` under the *union* of the shards'
-/// plans (vocabulary, attribute needs and relevance are merged
-/// name-wise, since each shard interns its own symbol space) and
-/// broadcasts every batch to every worker; workers re-map tag names
-/// into their private tables and evaluate concurrently. Results are
-/// merged exactly as [`crate::engine::evaluate_union`] merges them —
-/// concatenate, sort by pre-order id, deduplicate — so the output is
-/// byte-identical to the serial union regardless of shard count or
-/// scheduling.
+/// Shard 0 runs on the calling thread and every other shard on a worker
+/// thread; one producer thread scans `src` and broadcasts every batch to
+/// all of them (see the module docs for how symbols reach each shard).
+/// Results are merged exactly as [`crate::engine::evaluate_union`]
+/// merges them — concatenate, sort by pre-order id, deduplicate — so
+/// the output is byte-identical to the serial union regardless of shard
+/// count or scheduling.
 pub fn run_multi_sharded<R: Read + Send>(
     shards: Vec<MultiTwigM>,
     src: R,
     opts: &PipelineOptions,
 ) -> Result<ShardedOutcome, SaxError> {
-    assert!(!shards.is_empty(), "sharded run needs at least one shard");
-    let batch_events = opts.batch_events.max(1);
-    let queue_depth = opts.queue_depth.max(1);
-
-    // The producer's vocabulary is the union of every shard's: intern
-    // all names, then merge attribute needs and relevance name-wise.
-    let mut table = SymbolTable::new();
-    for shard in &shards {
-        for (_, name) in shard.symbols().iter() {
-            table.intern(name);
-        }
-    }
-    let attr_syms: Vec<bool> = table
-        .iter()
-        .map(|(_, name)| {
-            shards.iter().any(|s| {
-                let local = s.symbols().lookup(name);
-                local.is_known() && MultiTwigM::needs_attributes(s, local)
-            })
-        })
-        .collect();
-    let attr_unknown = shards
-        .iter()
-        .any(|s| MultiTwigM::needs_attributes(s, Symbol::UNKNOWN));
-    let mut wants_text = false;
-    let mut relevant = if opts.prefilter {
-        Some(vec![false; table.len()])
-    } else {
-        None
-    };
-    for shard in &shards {
-        let rel = if opts.prefilter {
-            shard.relevance()
-        } else {
-            Relevance::all()
-        };
-        wants_text |= rel.wants_text;
-        match (&mut relevant, rel.symbols) {
-            (Some(union), Some(local)) => {
-                for (sym, name) in shard.symbols().iter() {
-                    if local.get(sym.index().expect("iterated symbols are known")) == Some(&true) {
-                        let i = table.lookup(name).index().expect("interned above");
-                        union[i] = true;
-                    }
-                }
-            }
-            (slot, _) => *slot = None,
-        }
-    }
-    let plan = BatchPlan {
-        table,
-        attr_syms,
-        attr_unknown,
-        relevant,
-        wants_text,
-    };
-
-    let workers = shards.len();
-    let producer_stalls = AtomicU64::new(0);
-    let consumer_stalls = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let sent = AtomicU64::new(0);
-    let received: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let max_depth = AtomicU64::new(0);
-    let counts = Mutex::new((0u64, 0u64, 0u64, 0u64)); // batches, scanned, delivered, filtered
-    let error: Mutex<Option<SaxError>> = Mutex::new(None);
-
-    let worker_outputs = thread::scope(|scope| {
-        let mut txs: Vec<SyncSender<Arc<EventBatch>>> = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (k, shard) in shards.into_iter().enumerate() {
-            let (tx, rx): (SyncSender<Arc<EventBatch>>, Receiver<Arc<EventBatch>>) =
-                sync_channel(queue_depth);
-            txs.push(tx);
-            let consumer_stalls = &consumer_stalls;
-            let received = &received;
-            handles.push(scope.spawn(move || {
-                let mut engine = shard;
-                let local = MultiTwigM::symbols(&engine).clone();
-                loop {
-                    let batch = match rx.try_recv() {
-                        Ok(batch) => batch,
-                        Err(TryRecvError::Empty) => {
-                            consumer_stalls.fetch_add(1, Ordering::Relaxed);
-                            match rx.recv() {
-                                Ok(batch) => batch,
-                                Err(_) => break,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                    };
-                    received[k].fetch_add(1, Ordering::Relaxed);
-                    // The producer interns every shard's names: re-map
-                    // them into this shard's own symbol space.
-                    replay_batch(&mut engine, &batch, Some(&local));
-                }
-                let ids = StreamEngine::take_results(&mut engine);
-                (ids, engine)
-            }));
-        }
-
-        {
-            let producer_stalls = &producer_stalls;
-            let bytes = &bytes;
-            let sent = &sent;
-            let received = &received;
-            let max_depth = &max_depth;
-            let counts = &counts;
-            let error = &error;
-            scope.spawn(move || {
-                let mut producer = BatchProducer::new(SaxReader::new(src), plan);
-                let (mut batches, mut scanned, mut delivered, mut filtered) =
-                    (0u64, 0u64, 0u64, 0u64);
-                'produce: loop {
-                    let mut batch = EventBatch::new();
-                    match producer.next_batch(&mut batch, batch_events) {
-                        Ok(true) => {
-                            batches += 1;
-                            scanned += batch.scanned;
-                            filtered += batch.filtered;
-                            delivered += batch.len() as u64;
-                            let shared = Arc::new(batch);
-                            for tx in &txs {
-                                let mut msg = shared.clone();
-                                match tx.try_send(msg) {
-                                    Ok(()) => {}
-                                    Err(TrySendError::Full(back)) => {
-                                        producer_stalls.fetch_add(1, Ordering::Relaxed);
-                                        msg = back;
-                                        if tx.send(msg).is_err() {
-                                            break 'produce;
-                                        }
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => break 'produce,
-                                }
-                            }
-                            let s = sent.fetch_add(1, Ordering::Relaxed) + 1;
-                            for r in received.iter() {
-                                let depth = s.saturating_sub(r.load(Ordering::Relaxed));
-                                max_depth.fetch_max(depth, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(false) => break,
-                        Err(e) => {
-                            *error.lock().expect("no poisoned lock") = Some(e);
-                            break;
-                        }
-                    }
-                }
-                bytes.store(producer.bytes_consumed(), Ordering::Relaxed);
-                *counts.lock().expect("no poisoned lock") = (batches, scanned, delivered, filtered);
-                // Dropping `txs` closes every worker channel.
-            });
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    if let Some(e) = error.into_inner().expect("no poisoned lock") {
-        return Err(e);
-    }
+    let mut shards = shards.into_iter();
+    let mut first = shards.next().expect("sharded run needs at least one shard");
+    let (rest, pipeline) = run_batched(&mut first, shards.collect(), src, opts)?;
 
     let mut stats = EngineStats::default();
     let mut machine_size = 0usize;
-    let mut ids: Vec<u64> = Vec::new();
-    for (shard_ids, engine) in &worker_outputs {
-        stats.merge(MultiTwigM::stats(engine));
-        machine_size += MultiTwigM::machine_size(engine);
-        ids.extend(shard_ids.iter().map(|id| id.get()));
+    let mut ids = Vec::new();
+    for mut engine in std::iter::once(first).chain(rest) {
+        stats.merge(engine.stats());
+        machine_size += engine.machine_size();
+        ids.extend(StreamEngine::take_results(&mut engine));
     }
     ids.sort_unstable();
     ids.dedup();
-
-    let (batches, scanned, delivered, filtered) = counts.into_inner().expect("no poisoned lock");
-    let pipeline = PipelineStats {
-        threads: workers + 1,
-        batches,
-        events_scanned: scanned,
-        events_delivered: delivered,
-        events_filtered: filtered,
-        producer_stalls: producer_stalls.load(Ordering::Relaxed),
-        consumer_stalls: consumer_stalls.load(Ordering::Relaxed),
-        max_queue_depth: max_depth.load(Ordering::Relaxed),
-        bytes: bytes.load(Ordering::Relaxed),
-    };
     Ok(ShardedOutcome {
-        ids: ids.into_iter().map(NodeId::new).collect(),
+        ids,
         stats,
         machine_size,
         pipeline,
@@ -650,19 +569,24 @@ mod tests {
     #[test]
     fn pipeline_stats_account_for_the_stream() {
         let xml = nested_doc();
-        let engine = Engine::new(&parse("//a/b").unwrap()).unwrap();
         let opts = PipelineOptions {
             batch_events: 64,
             ..PipelineOptions::default()
         };
-        let (_, _, stats) = run_engine_pipelined(engine, &xml[..], &opts).unwrap();
-        assert_eq!(stats.threads, 2);
-        assert!(stats.batches > 1);
-        assert!(stats.events_scanned > 0);
-        assert_eq!(
-            stats.events_delivered + stats.events_filtered,
-            stats.events_scanned
-        );
-        assert!(stats.max_queue_depth >= 1);
+        let engine = Engine::new(&parse("//a/b").unwrap()).unwrap();
+        let (_, _, single) = run_engine_pipelined(engine, &xml[..], &opts).unwrap();
+        let shards = shard_queries(&parse_union("//a/b | //junk").unwrap(), 2).unwrap();
+        let sharded = run_multi_sharded(shards, &xml[..], &opts).unwrap().pipeline;
+        for (stats, threads) in [(single, 2), (sharded, 3)] {
+            assert_eq!(stats.threads, threads);
+            assert!(stats.batches > 1);
+            assert!(stats.events_scanned > 0);
+            assert_eq!(
+                stats.events_delivered + stats.events_filtered,
+                stats.events_scanned
+            );
+            // Sampled before each hand-off, so never 0 once a batch ships.
+            assert!(stats.max_queue_depth >= 1, "{stats:?}");
+        }
     }
 }

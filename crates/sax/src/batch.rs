@@ -84,8 +84,10 @@ struct AttrSpan {
 /// A fixed-capacity run of events with all variable-length data (names,
 /// text, decoded attributes) packed into one reusable string arena.
 ///
-/// Batches are recycled: [`EventBatch::clear`] keeps the allocations, so
-/// a steady-state pipeline performs no per-batch heap traffic.
+/// [`EventBatch::clear`] keeps the allocations, so a caller that drains
+/// a batch before refilling it can reuse one batch for a whole stream.
+/// The threaded pipeline in `twigm::pipeline` does not: it shares each
+/// batch among its consumers and frees it when the last one is done.
 #[derive(Debug, Default)]
 pub struct EventBatch {
     events: Vec<BatchEvent>,
