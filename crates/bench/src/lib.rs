@@ -11,10 +11,7 @@
 //! | E6 memory scalability    | Fig. 10 | `fig10_scale_memory` |
 //! | E7 compact encoding      | §1/§3 claim | `ablation_encoding` |
 //! | E8 complexity check      | Thm 4.4 | `ablation_complexity` |
-//!
-//! Criterion micro-benchmarks (`cargo bench -p twigm-bench`) cover parser
-//! throughput, per-engine event costs, the encoding ablation, and the
-//! DFA state blow-up (E9).
+//! | E9 DFA state blow-up     | §5.2 remark | `ablation_dfa_blowup` |
 //!
 //! Sizes: by default the harness runs at 1/4 of the paper's dataset sizes
 //! so a full figure regenerates in minutes; pass `--full` to any binary

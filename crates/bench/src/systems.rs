@@ -5,7 +5,7 @@ use std::io::BufReader;
 use std::path::Path as FsPath;
 use std::time::{Duration, Instant};
 
-use twigm::{BranchM, EngineStats, PathM, StreamEngine, TwigM};
+use twigm::{Engine, EngineStats, StreamEngine};
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_xpath::Path;
 
@@ -82,30 +82,12 @@ impl System {
             };
         match self {
             System::TwigM => {
-                // Auto-select like twigm::Engine, but keep the concrete
-                // types so stats are preserved.
-                if query.is_predicate_free() {
-                    let mut engine = match PathM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                } else if query.is_branch_only() {
-                    let mut engine = match BranchM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                } else {
-                    let mut engine = match TwigM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                }
+                let mut engine = match Engine::new(query) {
+                    Ok(e) => e,
+                    Err(e) => return RunOutcome::Error(e.to_string()),
+                };
+                let r = run_stream_with_deadline(&mut engine, opened, deadline);
+                streamed(r, engine.stats().clone())
             }
             System::Xmltk => {
                 let mut engine = match LazyDfa::new(query) {

@@ -327,3 +327,31 @@ fn multi_query_mode_reports_progress_and_telemetry() {
     let bytes = report.get("bytes").and_then(|b| b.as_u64());
     assert_eq!(bytes, Some(xml.len() as u64), "{json_line}");
 }
+
+/// An unknown entity in an attribute value the query never reads is
+/// still a malformed document: every engine, the threaded driver and a
+/// union fail with the same error at the start tag's offset.
+#[test]
+fn bad_attribute_entity_fails_on_every_engine() {
+    let xml = br#"<r><x a="&bogus;"/></r>"#;
+    let expected = "twigm: unknown entity `&bogus;` at byte 3\n";
+    let runs: [&[&str]; 9] = [
+        &["//r"],
+        &["--engine", "auto", "//r"],
+        &["--engine", "twig", "//r"],
+        &["--engine", "path", "//r"],
+        &["--engine", "branch", "/r"],
+        &["--engine", "naive", "//r"],
+        &["--engine", "dfa", "//r"],
+        &["--engine", "dom", "//r"],
+        &["--threads", "2", "//r"],
+    ];
+    for args in runs.iter().copied().chain([&["//r | //y"][..]]) {
+        let (out, err, code) = run_with_stdin(args, xml);
+        assert_eq!(
+            (out.as_str(), err.as_str(), code),
+            ("", expected, 2),
+            "{args:?}"
+        );
+    }
+}

@@ -34,11 +34,12 @@ use crate::twig::TwigM;
 /// collectors). An engine whose table is `None` sees every tag as
 /// [`Symbol::UNKNOWN`]. Engines driven by hand use [`ByName`].
 ///
-/// Attribute values are decoded — and so entity-checked — only for
-/// start tags whose symbol [`StreamEngine::needs_attributes`] accepts.
-/// Any other start tag arrives with an empty attribute slice and costs
-/// no allocation, and an unknown entity reference in its attribute
-/// values is not reported.
+/// Attribute values are decoded only for start tags whose symbol
+/// [`StreamEngine::needs_attributes`] accepts. Any other start tag
+/// arrives with an empty attribute slice and costs no allocation. The
+/// entity references in every attribute value are still checked when
+/// the reader scans the tag, so an unknown entity fails the document
+/// whatever the engine decodes.
 pub trait StreamEngine {
     /// Processes a start tag. Returns `true` when the element was pushed
     /// onto the return node's stack (i.e. it became a solution candidate)

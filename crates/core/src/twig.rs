@@ -565,8 +565,8 @@ impl<O: MachineObserver> TwigM<O> {
     ///
     /// By Proposition 4.2 these are exactly the levels of the *active*
     /// XML elements that solve each node's prefix subquery — the
-    /// invariant the `prop42_invariant` integration test checks against
-    /// a DOM oracle after every event.
+    /// invariant `tests/invariants.rs` checks against an independent
+    /// oracle after every event.
     pub fn stack_levels(&self) -> Vec<Vec<u32>> {
         self.core
             .stacks

@@ -18,8 +18,10 @@
 //! CDATA sections, comments, processing instructions, the XML declaration,
 //! DOCTYPE declarations (skipped), and the five predefined entities plus
 //! numeric character references. It checks well-formedness (tag balance,
-//! single root element, attribute uniqueness) and reports typed errors with
-//! byte offsets.
+//! single root element, attribute uniqueness, entity references in text
+//! and in every attribute value) and reports typed errors with byte
+//! offsets. Attribute entities are checked when the tag is scanned, so a
+//! consumer that never decodes attributes still sees the same error.
 //!
 //! [`XmlWriter`] is the inverse: an escaping serializer used by the dataset
 //! generators and by TwigM's XML-fragment output mode.
@@ -51,7 +53,6 @@ mod entity;
 mod error;
 mod event;
 mod handler;
-pub mod namespaces;
 mod reader;
 pub mod scan;
 mod symbol;
@@ -65,7 +66,6 @@ pub use entity::{
 pub use error::{SaxError, SaxResult};
 pub use event::{Attribute, EndTag, Event, NodeId, OwnedEvent, StartTag};
 pub use handler::{parse_bytes, parse_reader, SaxHandler};
-pub use namespaces::{NamespaceTracker, Resolved};
 pub use reader::{FeedEvent, FeedReader, SaxReader};
 pub use symbol::{Symbol, SymbolTable};
 pub use writer::XmlWriter;

@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::io::Read;
 
-use crate::entity::{decode_entities_into, EntityMap};
+use crate::entity::{decode_entities_into, decode_entities_with, EntityMap};
 use crate::error::{SaxError, SaxResult};
 use crate::event::{EndTag, Event, NodeId, StartTag};
 use crate::scan;
@@ -580,8 +580,13 @@ impl<R: Read> SaxReader<R> {
                 Some(p) => i += p,
                 None => return Err(self.syntax_at(offset, "unterminated attribute value")),
             }
-            if scan::memchr(b'<', &bytes[value_start..i]).is_some() {
-                return Err(self.syntax_at(offset, "`<` in attribute value"));
+            // One scan per value finds a `<` (never allowed) or the first
+            // `&`; only a value holding a reference is decoded, so an
+            // unknown entity fails here whether or not the engine later
+            // asks for the attributes.
+            let value = &bytes[value_start..i];
+            if let Some(p) = scan::memchr2(b'<', b'&', value) {
+                self.check_marked_value(value, p, offset)?;
             }
             i += 1;
             if names.contains(&name) {
@@ -591,6 +596,22 @@ impl<R: Read> SaxReader<R> {
                 });
             }
             names.push(name);
+        }
+        Ok(())
+    }
+
+    /// The rare half of the attribute-value check, for a value whose
+    /// first `<` or `&` is at `first`: rejects any `<`, then decodes the
+    /// references. Out of line so the common value costs one scan.
+    #[cold]
+    #[inline(never)]
+    fn check_marked_value(&self, value: &[u8], first: usize, offset: u64) -> SaxResult<()> {
+        if value[first] == b'<' || scan::memchr(b'<', &value[first..]).is_some() {
+            return Err(self.syntax_at(offset, "`<` in attribute value"));
+        }
+        // Invalid UTF-8 is reported by the caller's check.
+        if let Ok(text) = std::str::from_utf8(value) {
+            decode_entities_with(text, offset, Some(&self.entities))?;
         }
         Ok(())
     }
@@ -1424,6 +1445,22 @@ mod entity_decl_tests {
             reader.next_event(),
             Err(SaxError::UnknownEntity { name, .. }) if name == "b"
         ));
+    }
+
+    #[test]
+    fn attribute_entities_are_checked_at_scan_time() {
+        // The start event itself fails, before anyone reads attributes.
+        let xml = r#"<!DOCTYPE r [<!ENTITY a "x">]><r><x k="&a;&amp;"/><y k="&b;"/></r>"#;
+        let mut reader = SaxReader::from_bytes(xml.as_bytes());
+        for _ in 0..3 {
+            reader.next_event().unwrap();
+        }
+        assert!(matches!(
+            reader.next_event(),
+            Err(SaxError::UnknownEntity { name, offset: 50 }) if name == "b"
+        ));
+        let mut reader = SaxReader::from_bytes(br#"<r k="&bad"/>"#);
+        assert!(reader.next_event().is_err(), "unterminated reference");
     }
 
     #[test]

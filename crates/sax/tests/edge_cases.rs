@@ -1,7 +1,8 @@
 //! Hermetic edge-case tests for lexical corners of the SAX scanner:
 //! empty CDATA sections, `]]`/`]]>`-adjacent content, numeric character
 //! references straddling buffer boundaries, and unterminated constructs
-//! that must surface as typed errors, never panics.
+//! that must surface as typed errors, never panics — checked exhaustively
+//! over every truncation and single-byte substitution of one document.
 
 use twigm_sax::{Event, FeedEvent, FeedReader, SaxError, SaxReader};
 
@@ -221,4 +222,42 @@ fn compaction_preserves_offset_accounting_across_refills() {
         assert_eq!(seen, expected, "tiny-chunk reads: {tiny}");
         assert_eq!(reader.offset(), xml.len() as u64, "tiny: {tiny}");
     }
+}
+
+/// A small document touching every construct: attributes in both quote
+/// styles, an entity, a comment, CDATA and an empty-element tag.
+const FIXTURE: &[u8] = br#"<r a="1"><x>t &amp; u</x><!--c--><![CDATA[z]]><y b='2'/></r>"#;
+
+#[test]
+fn every_truncation_of_a_document_errors() {
+    drain(FIXTURE).unwrap();
+    for cut in 0..FIXTURE.len() {
+        assert!(
+            drain(&FIXTURE[..cut]).is_err(),
+            "truncation at {cut} silently succeeded"
+        );
+    }
+    assert!(drain(&FIXTURE.repeat(2)).is_err(), "two roots accepted");
+}
+
+#[test]
+fn every_single_byte_substitution_drains_without_panicking() {
+    // XML-ish bytes reach deep parser states; NUL, a stray continuation
+    // byte and 0xFF probe the UTF-8 checks.
+    let alphabet = b"<>/=\"'&;#![]-?abcxX09 \t\n\x00\x80\xC3\xA9\xFF";
+    let mut errors = 0;
+    for at in 0..FIXTURE.len() {
+        for &byte in alphabet {
+            let mut doc = FIXTURE.to_vec();
+            doc[at] = byte;
+            // A panic fails the test; either verdict is fine.
+            errors += usize::from(drain(&doc).is_err());
+        }
+    }
+    // Most substitutions break the document; a sweep where none did
+    // would be exercising nothing.
+    assert!(
+        errors > FIXTURE.len() * alphabet.len() / 4,
+        "{errors} errors"
+    );
 }

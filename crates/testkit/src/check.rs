@@ -4,10 +4,11 @@
 use std::fmt;
 
 use twigm::engine::{run_engine, StreamEngine};
+use twigm::fragments::FragmentCollector;
 use twigm::{BranchM, Engine, EngineStats, MultiTwigM, PathM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::NodeId;
+use twigm_sax::{NodeId, SaxReader};
 use twigm_xpath::Path;
 
 /// Coarse classification of a failure, used to decide whether a shrink
@@ -27,6 +28,9 @@ pub enum ViolationKind {
     /// Two engines that run the same transition core reported different
     /// work or memory counters.
     Stats,
+    /// Fragment output disagrees with the wrapped engine's ids, or a
+    /// fragment is not a well-formed document on its own.
+    Fragment,
     /// Generated XML or query text failed to parse (generator or
     /// parser/printer bug).
     Parse,
@@ -41,6 +45,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Resplit => "resplit",
             ViolationKind::Metamorphic => "metamorphic",
             ViolationKind::Stats => "stats",
+            ViolationKind::Fragment => "fragment",
             ViolationKind::Parse => "parse",
         })
     }
@@ -136,6 +141,58 @@ fn check_engine<E: StreamEngine>(
         }
     }
     Some(engine.stats().clone())
+}
+
+/// Checks the fragment output mode over `engine`: the ids of the
+/// fragments a [`FragmentCollector`] releases must equal the ids the
+/// wrapped engine decides in the same run, one fragment each, and every
+/// fragment must parse as a standalone document.
+fn check_fragments<E: StreamEngine>(engine: E, xml: &[u8], query: &Path, out: &mut Vec<Violation>) {
+    // A failed run is the plain engine check's to report.
+    if let Ok((ids, mut collector)) = run_engine(FragmentCollector::new(engine), xml) {
+        check_fragment_output(&sorted(ids), &collector.take_fragments(), query, out);
+    }
+}
+
+/// The [`check_fragments`] relations on one run's output: `engine_ids`
+/// (sorted) are the wrapped engine's decisions, `fragments` what the
+/// collector released.
+fn check_fragment_output(
+    engine_ids: &[u64],
+    fragments: &[(NodeId, String)],
+    query: &Path,
+    out: &mut Vec<Violation>,
+) {
+    let mut violation = |detail: String| {
+        out.push(Violation {
+            kind: ViolationKind::Fragment,
+            engine: "FragmentCollector",
+            query: query.to_string(),
+            detail,
+        })
+    };
+    let fragment_ids = sorted(fragments.iter().map(|(id, _)| *id).collect());
+    if fragment_ids != engine_ids {
+        violation(format!(
+            "engine decided {engine_ids:?}, fragments for {fragment_ids:?}"
+        ));
+    }
+    for (id, fragment) in fragments {
+        let mut reader = SaxReader::from_bytes(fragment.as_bytes());
+        let parsed = loop {
+            match reader.next_event() {
+                Ok(Some(_)) => {}
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        if let Err(e) = parsed {
+            violation(format!(
+                "fragment of {} does not reparse ({e}): {fragment}",
+                id.get()
+            ));
+        }
+    }
 }
 
 /// The counters fixed by the TwigM transitions alone, independent of
@@ -254,6 +311,9 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
     if let Ok(e) = Engine::new(query) {
         check_engine(e, "Engine", xml, query, &expected, depth, &mut out);
     }
+    if let Ok(e) = Engine::new(query) {
+        check_fragments(e, xml, query, &mut out);
+    }
     if let Ok(e) = NaiveEnum::new(query) {
         // NaiveEnum keeps one entry per (element, parent-match) pair, so
         // it claims no bound (machine_size is None) — divergence only.
@@ -297,43 +357,77 @@ mod tests {
         assert_eq!(oracle_ids(&doc, &parse("//a").unwrap()), vec![1, 3]);
     }
 
+    /// A deliberately broken "engine": decides every element it sees
+    /// (claims everything matches), and reports each start tag as a
+    /// candidate only when `.0` is set.
+    struct Liar(bool, EngineStats, Vec<NodeId>);
+
+    impl StreamEngine for Liar {
+        fn start_element(
+            &mut self,
+            _sym: twigm_sax::Symbol,
+            _name: &str,
+            _attrs: &[twigm_sax::Attribute<'_>],
+            _level: u32,
+            id: NodeId,
+        ) -> bool {
+            self.2.push(id);
+            self.0
+        }
+        fn end_element(&mut self, _sym: twigm_sax::Symbol, _name: &str, _level: u32) {}
+        fn take_results(&mut self) -> Vec<NodeId> {
+            std::mem::take(&mut self.2)
+        }
+        fn stats(&self) -> &EngineStats {
+            &self.1
+        }
+    }
+
     #[test]
     fn divergence_is_detected() {
-        // A deliberately broken "engine": claims everything matches.
-        struct LiarStats(twigm::stats::EngineStats, Vec<NodeId>);
-        impl StreamEngine for LiarStats {
-            fn start_element(
-                &mut self,
-                _sym: twigm_sax::Symbol,
-                _name: &str,
-                _attrs: &[twigm_sax::Attribute<'_>],
-                _level: u32,
-                id: NodeId,
-            ) -> bool {
-                self.1.push(id);
-                true
-            }
-            fn end_element(&mut self, _sym: twigm_sax::Symbol, _name: &str, _level: u32) {}
-            fn take_results(&mut self) -> Vec<NodeId> {
-                std::mem::take(&mut self.1)
-            }
-            fn stats(&self) -> &twigm::stats::EngineStats {
-                &self.0
-            }
-        }
         let xml = b"<r><a/></r>";
         let query = parse("//a").unwrap();
         let mut out = Vec::new();
-        check_engine(
-            LiarStats(Default::default(), Vec::new()),
-            "Liar",
-            xml,
-            &query,
-            &[1],
-            2,
-            &mut out,
-        );
+        let liar = Liar(true, EngineStats::default(), Vec::new());
+        check_engine(liar, "Liar", xml, &query, &[1], 2, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, ViolationKind::Divergence);
+    }
+
+    #[test]
+    fn wrong_fragments_are_detected() {
+        let query = parse("//a").unwrap();
+        let fragment = |id, text: &str| (NodeId::new(id), text.to_string());
+        let good = [fragment(1, "<a><b></b></a>"), fragment(3, "<a></a>")];
+        let mut out = Vec::new();
+        check_fragment_output(&[1, 3], &good, &query, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // A lost fragment, a duplicated one, and one cut short.
+        let bad: [&[(NodeId, String)]; 3] = [
+            &good[..1],
+            &[good[0].clone(), good[0].clone(), good[1].clone()],
+            &[good[0].clone(), fragment(3, "<a>")],
+        ];
+        for fragments in bad {
+            let mut out = Vec::new();
+            check_fragment_output(&[1, 3], fragments, &query, &mut out);
+            assert_eq!(out.len(), 1, "{fragments:?}");
+            assert_eq!(out[0].kind, ViolationKind::Fragment);
+        }
+    }
+
+    #[test]
+    fn a_collector_that_misses_candidates_is_detected() {
+        // The collector records only flagged candidates, so it has no
+        // fragment for the ids this liar decides.
+        let (xml, query) = (b"<r><a/></r>", parse("//a").unwrap());
+        let mut out = Vec::new();
+        let liar = Liar(false, EngineStats::default(), Vec::new());
+        check_fragments(liar, xml, &query, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].kind, ViolationKind::Fragment);
+        let mut out = Vec::new();
+        check_fragments(Engine::new(&query).unwrap(), xml, &query, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 }

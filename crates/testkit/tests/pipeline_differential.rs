@@ -6,7 +6,8 @@
 //! driver's decision-order id sequence exactly, including when the
 //! input arrives under every chunk-split strategy the resplit battery
 //! uses. The sharded union driver must likewise reproduce the serial
-//! union's sorted, deduplicated result set for 1, 2 and 4 shards under
+//! union's sorted, deduplicated result set (itself checked against the
+//! DOM oracle's per-branch union) for 1, 2 and 4 shards under
 //! the same option matrix, and for 1 and 2 shards under every
 //! chunk-split strategy. A document that goes bad mid-stream must fail
 //! every driver with the serial driver's error.
@@ -19,8 +20,10 @@ use std::time::Duration;
 use twigm::engine::run_engine;
 use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, PipelineOptions};
 use twigm::{Engine, MultiTwigM};
+use twigm_baselines::inmem::Document;
 use twigm_datagen::SplitMix64;
 use twigm_sax::NodeId;
+use twigm_testkit::check::oracle_ids;
 use twigm_testkit::querygen::{generate_query, QueryConfig};
 use twigm_testkit::resplit::{split_points, STRATEGIES};
 use twigm_testkit::xmlgen::{generate_doc, DocConfig};
@@ -148,7 +151,8 @@ fn pipelined_driver_is_chunk_split_invariant() {
 }
 
 /// A random union of 2-4 generated branches with the serial union's
-/// sorted, deduplicated ids over `xml`.
+/// sorted, deduplicated ids over `xml`, which must equal the DOM
+/// oracle's deduplicated per-branch union.
 fn union_case(rng: &mut SplitMix64, xml: &[u8]) -> (Vec<Path>, Vec<NodeId>) {
     let count = rng.range_usize(2, 5);
     let branches: Vec<Path> = (0..count)
@@ -167,6 +171,12 @@ fn union_case(rng: &mut SplitMix64, xml: &[u8]) -> (Vec<Path>, Vec<NodeId>) {
     let (mut expected, _) = run_engine(serial, xml).expect("generated XML parses");
     expected.sort_unstable();
     expected.dedup();
+    let doc = Document::parse_bytes(xml).expect("generated XML parses");
+    let mut oracle: Vec<u64> = branches.iter().flat_map(|b| oracle_ids(&doc, b)).collect();
+    oracle.sort_unstable();
+    oracle.dedup();
+    let serial: Vec<u64> = expected.iter().map(|id| id.get()).collect();
+    assert_eq!(serial, oracle, "serial union diverged from the oracle");
     (branches, expected)
 }
 

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Full local CI gate. Everything here must pass on a machine with no
-# network access — the workspace has no registry dependencies, and the
-# seeded test suite replaces the (feature-gated) proptest suites.
+# network access — the workspace has no registry dependencies.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -10,6 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# No test or bench is behind a cargo feature, so `--all-targets` lints
+# every test and benchmark binary.
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -51,6 +52,11 @@ target/release/testkit-fuzz --replay tests/corpus
 echo "==> filtering smoke: shared dispatch agrees with separate engines"
 cargo build --release -p twigm-bench
 target/release/ablation_filtering --scale 0.05
+
+# DFA blow-up smoke (E9): for every wildcard query the lazy DFA must
+# return exactly TwigM's ids (the binary asserts it before printing).
+echo "==> E9 smoke: lazy DFA agrees with TwigM on wildcard chains"
+target/release/ablation_dfa_blowup --scale 0.05 --repeats 1
 
 # Observability smoke: drive the CLI with every telemetry flag on a
 # Figure-2-style query, then schema-check the artifacts with the

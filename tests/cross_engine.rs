@@ -229,7 +229,7 @@ fn check_both_paths<E: StreamEngine>(
     );
 }
 
-/// The hermetic replacement for the proptest differential suite: one
+/// A seeded differential sweep against the DOM oracle: one
 /// SplitMix64 stream derives every document (benchmark datasets at
 /// random seeds plus adversarial recursive trees), each paired with the
 /// full benchmark query corpus. Well over 100 (document, query) cases,

@@ -1,20 +1,24 @@
-//! Hermetic invariant checks for Theorem 4.4's space bound — the
-//! offline replacement for the proptest suite in `prop42_invariant.rs`
-//! (which needs the `proptest-tests` feature and a registry): seeded
-//! SplitMix64 documents instead of proptest strategies, same claims.
+//! Seeded invariant checks on TwigM's stacks, over SplitMix64 documents.
 //!
-//! The paper's bound: TwigM's buffering is `O(|Q| · R)` stack entries
-//! (|Q| machine nodes × document recursion depth R), with **zero**
-//! explicitly materialized pattern-match tuples — the compact encoding
-//! that separates TwigM from the enumeration systems of §5.
+//! * **Proposition 4.2**, after every event: on the startElement event
+//!   for a node a, a is pushed onto machine node v's stack if and only if
+//!   a is an active node and a solution to the prefix subquery of v. An
+//!   independent oracle recomputes each stack from the open ancestor
+//!   chain by direct recursion over the machine's edges.
+//! * **Theorem 4.4's space bound**: TwigM's buffering is `O(|Q| · R)`
+//!   stack entries (|Q| machine nodes × document recursion depth R),
+//!   with **zero** explicitly materialized pattern-match tuples — the
+//!   compact encoding that separates TwigM from the enumeration systems
+//!   of §5.
 
 use twigm::engine::run_engine;
+use twigm::machine::Machine;
 use twigm::{BranchM, ByName, MultiTwigM, PathM, StreamEngine, TwigM};
 use twigm_baselines::NaiveEnum;
 use twigm_datagen::recursive::random_recursive;
 use twigm_datagen::SplitMix64;
-use twigm_sax::NodeId;
-use twigm_xpath::parse;
+use twigm_sax::{Event, NodeId, SaxReader};
+use twigm_xpath::{parse, Path};
 
 /// Maximum element nesting depth of a document (its recursion bound R
 /// is at most this).
@@ -27,6 +31,170 @@ fn document_depth(xml: &[u8]) -> u32 {
         }
     }
     max
+}
+
+/// One open element at a point in the stream.
+#[derive(Debug, Clone)]
+struct ActiveElem {
+    tag: String,
+    level: u32,
+}
+
+/// Does the chain `actives[..=idx]` make `actives[idx]` a solution of the
+/// prefix subquery of machine node `v`? (Recursive definition 4.2: the
+/// name test matches and some qualifying ancestor solves the parent's
+/// prefix subquery.)
+fn solves_prefix(machine: &Machine, v: usize, actives: &[ActiveElem], idx: usize) -> bool {
+    let node = &machine.nodes[v];
+    let elem = &actives[idx];
+    if !node.name.matches(&elem.tag) {
+        return false;
+    }
+    match node.parent {
+        None => node.edge.test(elem.level as i64),
+        Some(p) => (0..idx).any(|a| {
+            node.edge.test(elem.level as i64 - actives[a].level as i64)
+                && solves_prefix(machine, p, actives, a)
+        }),
+    }
+}
+
+/// The oracle's expected stack for node `v`: levels of active elements
+/// solving its prefix subquery, in document (= level) order.
+fn expected_stack(machine: &Machine, v: usize, actives: &[ActiveElem]) -> Vec<u32> {
+    (0..actives.len())
+        .filter(|&i| solves_prefix(machine, v, actives, i))
+        .map(|i| actives[i].level)
+        .collect()
+}
+
+/// The first machine node whose stack (as levels) is not the oracle's,
+/// as a message.
+fn stack_violation(
+    machine: &Machine,
+    stacks: &[Vec<u32>],
+    actives: &[ActiveElem],
+) -> Option<String> {
+    (0..machine.len()).find_map(|v| {
+        let expected = expected_stack(machine, v, actives);
+        (stacks[v] != expected).then(|| {
+            format!(
+                "machine node {v} holds {:?}, expected {expected:?}",
+                stacks[v]
+            )
+        })
+    })
+}
+
+/// Drives TwigM over `xml` one event at a time and checks Proposition
+/// 4.2 after every start and end tag; every stack must be empty at the
+/// end. Returns the number of events checked.
+fn check_invariant_throughout(query: &Path, xml: &[u8]) -> Result<usize, String> {
+    let mut engine = TwigM::new(query).unwrap();
+    let mut reader = SaxReader::from_bytes(xml);
+    let mut actives: Vec<ActiveElem> = Vec::new();
+    let mut event_no = 0;
+    while let Some(event) = reader.next_event().unwrap() {
+        match event {
+            Event::Start(tag) => {
+                let attrs: Vec<_> = tag.attributes().collect::<Result<_, _>>().unwrap();
+                actives.push(ActiveElem {
+                    tag: tag.name().to_string(),
+                    level: tag.level(),
+                });
+                engine.start_named(tag.name(), &attrs, tag.level(), tag.id());
+            }
+            Event::End(tag) => {
+                engine.end_named(tag.name(), tag.level());
+                actives.pop();
+            }
+            Event::Text(t) => {
+                engine.text(&t, actives.len() as u32);
+                continue;
+            }
+            _ => continue,
+        }
+        event_no += 1;
+        if let Some(detail) = stack_violation(engine.machine(), &engine.stack_levels(), &actives) {
+            return Err(format!(
+                "Proposition 4.2 violated at event {event_no}: {detail}"
+            ));
+        }
+    }
+    if engine.stack_levels().iter().all(Vec::is_empty) {
+        Ok(event_no)
+    } else {
+        Err(format!("stacks not drained: {:?}", engine.stack_levels()))
+    }
+}
+
+/// A query of one to three steps over {a, b, c, *}, each on `/` or `//`,
+/// some with a predicate. Proposition 4.2 concerns the prefix subquery
+/// (predicates never gate pushes), so plain paths with wildcards
+/// exercise it fully; the predicates confirm they do not change stack
+/// contents.
+fn random_query(rng: &mut SplitMix64) -> String {
+    let mut query = String::new();
+    for _ in 0..rng.range_usize(1, 4) {
+        query.push_str(["/", "//"][rng.index(2)]);
+        query.push_str(["a", "b", "c", "*"][rng.index(4)]);
+        if rng.gen_bool(0.4) {
+            query.push_str(["[a]", "[b][c]", "[not(a)]"][rng.index(3)]);
+        }
+    }
+    query
+}
+
+/// Proposition 4.2 after every event, over 200 seeded (document, query)
+/// pairs of small recursive trees in the {a, b, c} alphabet.
+#[test]
+fn stacks_hold_exactly_the_prefix_subquery_solutions() {
+    let mut rng = SplitMix64::seed_from_u64(0x42_57AC);
+    let mut events = 0;
+    for case in 0..200 {
+        let mut xml = Vec::new();
+        random_recursive(rng.next_u64(), 6, 4, &["a", "b", "c"], &mut xml).unwrap();
+        let text = random_query(&mut rng);
+        let query = parse(&text).unwrap();
+        events += check_invariant_throughout(&query, &xml).unwrap_or_else(|e| {
+            panic!(
+                "case {case}: {e}\nquery: {text}\nxml: {}",
+                String::from_utf8_lossy(&xml)
+            )
+        });
+    }
+    // The trees must be big enough for the check to mean something.
+    assert!(events > 200 * 8, "only {events} events checked");
+}
+
+/// The oracle catches wrong stacks: on figure 2(c)'s state (`//a//b//c`
+/// while c1 is open) a missing, an extra and a misplaced entry are each
+/// reported, and the true stacks are not.
+#[test]
+fn stack_oracle_detects_a_wrong_stack() {
+    let query = parse("//a//b//c").unwrap();
+    let engine = TwigM::new(&query).unwrap();
+    let machine = engine.machine();
+    let actives: Vec<ActiveElem> = ["a", "a", "b", "b", "c"]
+        .iter()
+        .zip(1..)
+        .map(|(tag, level)| ActiveElem {
+            tag: tag.to_string(),
+            level,
+        })
+        .collect();
+    let good = vec![vec![1, 2], vec![3, 4], vec![5]];
+    assert_eq!(stack_violation(machine, &good, &actives), None);
+    for bad in [
+        vec![vec![1], vec![3, 4], vec![5]],
+        vec![vec![1, 2], vec![2, 3, 4], vec![5]],
+        vec![vec![1, 2], vec![3, 4], vec![4]],
+    ] {
+        assert!(
+            stack_violation(machine, &bad, &actives).is_some(),
+            "{bad:?} passed"
+        );
+    }
 }
 
 /// Theorem 4.4 on deep seeded recursive documents: for every query,
@@ -183,7 +351,7 @@ fn deep_recursion_bound_holds_on_every_engine() {
 
 /// Figure 2(c) stack snapshot, pinned exactly: M2 = //a//b//c over
 /// nested a,a,b,b,c — while c1 is open, v1 holds levels [1,2], v2 holds
-/// [3,4], v3 holds [5]. (Hermetic twin of the gated proptest variant.)
+/// [3,4], v3 holds [5].
 #[test]
 fn figure2_snapshot_matches_the_paper() {
     let query = parse("//a//b//c").unwrap();
