@@ -10,8 +10,11 @@
 //!   consumer thread, prefilter on) against the serial `run_engine`
 //!   loop: the `--threads 2` configuration;
 //! * **single query, prefilter off** — the same pipeline with every
-//!   event delivered, isolating how much of the win is the prefilter
-//!   dropping irrelevant subtree events versus batching itself;
+//!   event delivered (no symbol prefilter and no reader projection),
+//!   isolating how much of the win is dropping irrelevant subtree events
+//!   versus batching itself. The serial loop projects, as every
+//!   `run_engine` does, and `drop%` counts only the events the reader
+//!   delivered, not the ones it skimmed;
 //! * **union, sharded** — the dataset's full Figure-6 query set as one
 //!   `|` union through `run_multi_sharded` with 2 and 4 worker engines
 //!   (the `--threads 3` / `--threads 5` configurations) against the

@@ -113,7 +113,7 @@ fn stream_serial<E: StreamEngine + ?Sized>(
             }
         });
         drive(engine, &mut reader, &mut observer).map_err(|e| e.to_string())?;
-        Some(observer.finish(reader.offset()))
+        Some(observer.finish(&reader))
     } else {
         drive(engine, &mut reader, &mut NoTelemetry).map_err(|e| e.to_string())?;
         None

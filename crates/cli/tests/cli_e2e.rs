@@ -355,3 +355,82 @@ fn bad_attribute_entity_fails_on_every_engine() {
         );
     }
 }
+
+/// Processing-instruction data is checked as UTF-8 like every other
+/// range: bad bytes there are a typed error on every engine, not a
+/// panic.
+#[test]
+fn invalid_utf8_in_pi_data_fails_on_every_engine() {
+    let xml = b"<r><?pi \xff\xfe?></r>";
+    let expected = "twigm: invalid UTF-8 at byte 8\n";
+    let runs: [&[&str]; 9] = [
+        &["//r"],
+        &["--engine", "auto", "//r"],
+        &["--engine", "twig", "//r"],
+        &["--engine", "path", "//r"],
+        &["--engine", "branch", "/r"],
+        &["--engine", "naive", "//r"],
+        &["--engine", "dfa", "//r"],
+        &["--engine", "dom", "//r"],
+        &["--threads", "2", "//r"],
+    ];
+    for args in runs.iter().copied().chain([&["//r | //y"][..]]) {
+        let (out, err, code) = run_with_stdin(args, xml);
+        assert_eq!(
+            (out.as_str(), err.as_str(), code),
+            ("", expected, 2),
+            "{args:?}"
+        );
+    }
+}
+
+/// The named count check of the reader's projection, on the seed-1
+/// 256 KiB Protein document under Q1: the events the reader delivers
+/// plus the events it skims are exactly a full parse's, and the results,
+/// ids, bytes and recursion depth do not move — `--engine dom` parses
+/// the whole document and agrees.
+#[test]
+fn protein_projection_skims_exactly_the_unreachable_events() {
+    let mut xml = Vec::new();
+    twigm_datagen::protein::generate(1, 256 << 10, &mut xml).unwrap();
+    let q1 = "/ProteinDatabase/ProteinEntry/protein/name";
+    let field = |json: &str, key: &str| {
+        let report = twigm_testkit::obsjson::parse(json).unwrap();
+        report.get(key).and_then(|v| v.as_u64()).unwrap()
+    };
+    let (ids, err, code) = run_with_stdin(&["--stats=json", q1], &xml);
+    assert_eq!(code, 0, "{err}");
+    let json = err.lines().find(|l| l.contains("twigm-stats-v1")).unwrap();
+    twigm_testkit::obsjson::validate_stats(json).expect("valid twigm-stats-v1");
+    let (dom_ids, _, _) = run_with_stdin(&["--engine", "dom", q1], &xml);
+    assert_eq!(ids, dom_ids);
+    assert_eq!(field(json, "results"), 97);
+    assert_eq!(field(json, "max_depth"), 6);
+    assert_eq!(field(json, "bytes"), xml.len() as u64);
+    // The full parse, counted by the bare reader: an event lies outside
+    // skimmed content when every element around it is on Q1's path
+    // above `name` (`name` itself has nothing below it to match).
+    let spine = ["ProteinDatabase", "ProteinEntry", "protein"];
+    let mut reader = twigm_sax::SaxReader::from_bytes(&xml);
+    let mut around: Vec<bool> = Vec::new();
+    let (mut full, mut outside) = (0u64, 0u64);
+    while let Some(event) = reader.next_event().unwrap() {
+        full += 1;
+        if let twigm_sax::Event::End(_) = event {
+            around.pop();
+        }
+        outside += u64::from(around.iter().all(|&live| live));
+        if let twigm_sax::Event::Start(tag) = event {
+            around.push(spine.get(around.len()) == Some(&tag.name()));
+        }
+    }
+    assert_eq!(full, 21_501);
+    let (events, skipped) = (field(json, "events"), field(json, "skipped_events"));
+    assert_eq!(events, outside, "{json}");
+    assert_eq!(events + skipped, full, "{json}");
+    // A `//` root compiles to no projection: nothing is skimmed.
+    let (_, err, _) = run_with_stdin(&["--stats=json", "//ProteinEntry/protein/name"], &xml);
+    let json = err.lines().find(|l| l.contains("twigm-stats-v1")).unwrap();
+    assert_eq!(field(json, "skipped_events"), 0);
+    assert_eq!(field(json, "events"), 21_501);
+}

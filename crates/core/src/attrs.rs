@@ -90,6 +90,11 @@ impl<E: StreamEngine> StreamEngine for AttrCollector<E> {
         self.inner.symbols()
     }
 
+    /// The inner engine's projection: values are read off start tags.
+    fn projection(&self) -> Option<twigm_sax::Projection> {
+        self.inner.projection()
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.result_ids)
     }

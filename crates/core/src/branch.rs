@@ -241,6 +241,10 @@ impl<O: MachineObserver> StreamEngine for BranchM<O> {
         crate::relevance::machine_relevance(&self.machine)
     }
 
+    fn projection(&self) -> Option<twigm_sax::Projection> {
+        crate::relevance::machine_projection(&self.machine)
+    }
+
     fn symbols(&self) -> Option<&SymbolTable> {
         Some(self.machine.symbols())
     }

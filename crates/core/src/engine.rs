@@ -7,7 +7,8 @@ use std::ops::ControlFlow;
 
 use twigm_sax::batch::{BatchEventKind, EventBatch};
 use twigm_sax::{
-    Attribute, Event, FeedEvent, FeedReader, NodeId, SaxError, SaxReader, Symbol, SymbolTable,
+    Attribute, Event, FeedEvent, FeedReader, NodeId, Projection, SaxError, SaxReader, Symbol,
+    SymbolTable,
 };
 use twigm_xpath::Path;
 
@@ -15,7 +16,7 @@ use crate::branch::BranchM;
 use crate::machine::{Machine, MachineError};
 use crate::observe::{MachineObserver, NoopObserver};
 use crate::path::PathM;
-use crate::relevance::{machine_relevance, Relevance};
+use crate::relevance::{machine_projection, machine_relevance, Relevance};
 use crate::stats::EngineStats;
 use crate::twig::TwigM;
 
@@ -40,6 +41,13 @@ use crate::twig::TwigM;
 /// entity references in every attribute value are still checked when
 /// the reader scans the tag, so an unknown entity fails the document
 /// whatever the engine decodes.
+///
+/// An engine with a [`StreamEngine::projection`] receives no events
+/// for the content of elements below which none of its query nodes can
+/// match. The reader skims that content with every well-formedness
+/// check it makes on delivered content (see `SaxReader::project`), so a
+/// malformed document fails with the same error, at the same offset,
+/// whether or not its bad bytes were skimmed.
 pub trait StreamEngine {
     /// Processes a start tag. Returns `true` when the element was pushed
     /// onto the return node's stack (i.e. it became a solution candidate)
@@ -93,6 +101,14 @@ pub trait StreamEngine {
         Relevance::all()
     }
 
+    /// The path projection over [`StreamEngine::symbols`] that the
+    /// drivers install in the reader (see `relevance.rs`): which open
+    /// elements can still lead to a match. `None` (the default) delivers
+    /// every event, which is always correct.
+    fn projection(&self) -> Option<Projection> {
+        None
+    }
+
     /// Drains the results decided so far, in decision order.
     fn take_results(&mut self) -> Vec<NodeId>;
 
@@ -144,6 +160,10 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
 
     fn relevance(&self) -> Relevance {
         (**self).relevance()
+    }
+
+    fn projection(&self) -> Option<Projection> {
+        (**self).projection()
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
@@ -354,6 +374,10 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
         machine_relevance(self.machine())
     }
 
+    fn projection(&self) -> Option<Projection> {
+        machine_projection(self.machine())
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         match self {
             Engine::Path(e) => e.take_results(),
@@ -389,6 +413,31 @@ pub trait EventSource {
     /// once on entry; a source that ran dry has already closed an empty
     /// tag's element, so it holds on re-entry too.
     fn depth(&self) -> u32;
+
+    /// Installs the projection `compile` returns unless the source has
+    /// one already, or had projection switched off (`with_projection(None)`
+    /// on the reader). Returns whether the source projects.
+    fn project_with(&mut self, compile: impl FnOnce() -> Option<Projection>) -> bool;
+
+    /// Reports the symbol of the element the last start event opened,
+    /// so a projecting source can skim its content.
+    fn project(&mut self, sym: Symbol);
+
+    /// What the source skimmed and how deep the document went: the
+    /// stream-side counts [`Telemetry`] cannot see in the events.
+    fn skim_counts(&self) -> SkimCounts;
+}
+
+/// What a source skimmed so far, and the deepest nesting it saw
+/// (skimmed content included).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SkimCounts {
+    /// Events skimmed instead of delivered.
+    pub events: u64,
+    /// Bytes of element content skimmed.
+    pub bytes: u64,
+    /// Deepest element nesting seen.
+    pub max_depth: u32,
 }
 
 impl<R: Read> EventSource for SaxReader<R> {
@@ -402,6 +451,22 @@ impl<R: Read> EventSource for SaxReader<R> {
 
     fn depth(&self) -> u32 {
         SaxReader::depth(self)
+    }
+
+    fn project_with(&mut self, compile: impl FnOnce() -> Option<Projection>) -> bool {
+        SaxReader::project_with(self, compile)
+    }
+
+    fn project(&mut self, sym: Symbol) {
+        SaxReader::project(self, sym)
+    }
+
+    fn skim_counts(&self) -> SkimCounts {
+        SkimCounts {
+            events: self.events_skipped(),
+            bytes: self.bytes_skipped(),
+            max_depth: self.max_depth(),
+        }
     }
 }
 
@@ -419,6 +484,22 @@ impl EventSource for FeedReader {
 
     fn depth(&self) -> u32 {
         FeedReader::depth(self)
+    }
+
+    fn project_with(&mut self, compile: impl FnOnce() -> Option<Projection>) -> bool {
+        FeedReader::project_with(self, compile)
+    }
+
+    fn project(&mut self, sym: Symbol) {
+        FeedReader::project(self, sym)
+    }
+
+    fn skim_counts(&self) -> SkimCounts {
+        SkimCounts {
+            events: self.events_skipped(),
+            bytes: self.bytes_skipped(),
+            max_depth: self.max_depth(),
+        }
     }
 }
 
@@ -465,6 +546,11 @@ impl DriverObserver for NoTelemetry {
 /// processing instructions are skipped. `observer` runs after every
 /// event.
 ///
+/// On first entry the driver installs the engine's
+/// [`StreamEngine::projection`] in `src`, unless `src` has projection
+/// switched off, and reports every start tag's symbol back to it, so
+/// `src` skims content no query node can reach.
+///
 /// Returns once `src` has no more events — the end of the document, or
 /// of the data fed so far into a [`FeedReader`] (feed more and call
 /// again) — or when the observer stopped the drive.
@@ -475,6 +561,7 @@ where
     D: DriverObserver,
 {
     let mut depth = src.depth();
+    let project = src.project_with(|| engine.projection());
     while let Some(event) = src.pull()? {
         match event {
             Event::Start(tag) => {
@@ -489,6 +576,9 @@ where
                 }
                 depth = tag.level();
                 engine.start_element(sym, tag.name(), &attrs, depth, tag.id());
+                if project {
+                    src.project(sym);
+                }
             }
             Event::End(tag) => {
                 let sym = symbol_of(engine, tag.name());
@@ -549,17 +639,24 @@ pub fn run_engine<E: StreamEngine, R: Read>(
 /// Driver-level byte/event accounting from [`run_engine_traced`].
 ///
 /// These are the stream-side quantities the engine counters cannot see:
-/// how many bytes and SAX events the reader produced, how deep the
-/// document recursed (the `R` of Theorem 4.4's `|Q|·R` memory bound),
-/// and when the first result was decided — the latency metric of the
+/// how many bytes and SAX events the reader produced, how much content
+/// it skimmed under the engine's projection, how deep the document
+/// recursed (the `R` of Theorem 4.4's `|Q|·R` memory bound), and when
+/// the first result was decided — the latency metric of the
 /// earliest-answering literature (PAPERS.md).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamTelemetry {
-    /// Bytes consumed from the input stream.
+    /// Bytes consumed from the input stream, skimmed content included.
     pub bytes: u64,
     /// SAX events the reader emitted (tags, text, comments, PIs).
     pub events: u64,
-    /// Deepest element nesting seen — the recursion depth `R`.
+    /// Events the reader skimmed instead of emitting: `events +
+    /// skipped_events` is the event count of a full parse.
+    pub skipped_events: u64,
+    /// Bytes of element content the reader skimmed.
+    pub skipped_bytes: u64,
+    /// Deepest element nesting in the document, skimmed content
+    /// included — the recursion depth `R`.
     pub max_depth: u32,
     /// Event count at which the first result was decided.
     pub first_result_event: Option<u64>,
@@ -602,11 +699,16 @@ impl<F: FnMut(&StreamProgress)> Telemetry<F> {
         }
     }
 
-    /// Closes the account. `bytes` is the source's final offset, which
-    /// covers any trailing whitespace after the last event.
-    pub fn finish(self, bytes: u64) -> StreamTelemetry {
+    /// Closes the account over the source the drive pulled from: its
+    /// final offset (which covers trailing whitespace after the last
+    /// event), what it skimmed, and the depth of the whole document.
+    pub fn finish(self, src: &impl EventSource) -> StreamTelemetry {
+        let skimmed = src.skim_counts();
         StreamTelemetry {
-            bytes,
+            bytes: src.offset(),
+            skipped_events: skimmed.events,
+            skipped_bytes: skimmed.bytes,
+            max_depth: self.telemetry.max_depth.max(skimmed.max_depth),
             ..self.telemetry
         }
     }
@@ -650,7 +752,7 @@ pub fn run_engine_traced<E: StreamEngine, R: Read>(
     let mut reader = SaxReader::new(src);
     let mut observer = Telemetry::new(progress_every, progress);
     drive(&mut engine, &mut reader, &mut observer)?;
-    let telemetry = observer.finish(reader.offset());
+    let telemetry = observer.finish(&reader);
     debug_assert_eq!(telemetry.events, reader.events_emitted());
     let results = engine.take_results();
     Ok((results, engine, telemetry))

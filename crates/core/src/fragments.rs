@@ -14,7 +14,7 @@
 //! buffering all predicate-capable streaming processors perform (XSQ's
 //! buffer, TurboXPath's work areas).
 
-use twigm_sax::{escape_attr, escape_text, Attribute, NodeId, Symbol, SymbolTable};
+use twigm_sax::{escape_attr, escape_text, Attribute, NodeId, Projection, Symbol, SymbolTable};
 
 use crate::engine::StreamEngine;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -163,6 +163,14 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         self.inner.symbols()
     }
 
+    /// The inner engine's projection, with the whole subtree of every
+    /// candidate kept live: its fragment serializes all of it.
+    fn projection(&self) -> Option<Projection> {
+        self.inner
+            .projection()
+            .map(Projection::keep_return_subtrees)
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.result_ids)
     }
@@ -232,6 +240,18 @@ mod tests {
         assert_eq!(frags.len(), 2);
         assert!(frags.contains(&"<a><b></b></a>".to_string()));
         assert!(frags.contains(&"<a><a><b></b></a><b></b></a>".to_string()));
+    }
+
+    #[test]
+    fn rooted_fragments_keep_the_content_a_projection_would_skim() {
+        // `/r/a` projects: `c` is skimmed, but each `a` candidate's
+        // subtree is serialized whole.
+        let xml = "<r><a><b>x</b></a><c><a/></c><a k=\"1\"><a/></a></r>";
+        assert_eq!(
+            fragments("/r/a", xml),
+            vec!["<a><b>x</b></a>", "<a k=\"1\"><a></a></a>"]
+        );
+        assert_eq!(fragments("/r/a[b]", xml), vec!["<a><b>x</b></a>"]);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub mod twig;
 pub use branch::BranchM;
 pub use engine::{
     drive, evaluate, evaluate_ordered, evaluate_union, replay_batch, run_engine, run_engine_traced,
-    ByName, DriverObserver, Engine, EventSource, NoTelemetry, StreamEngine, StreamProgress,
-    StreamTelemetry, Telemetry,
+    ByName, DriverObserver, Engine, EventSource, NoTelemetry, SkimCounts, StreamEngine,
+    StreamProgress, StreamTelemetry, Telemetry,
 };
 pub use machine::{Machine, MachineError};
 pub use multi::MultiTwigM;
@@ -88,6 +88,6 @@ pub use pipeline::{
     run_engine_pipelined, run_multi_sharded, PipelineOptions, PipelineStats, ShardedOutcome,
 };
 pub use query::QueryTree;
-pub use relevance::{machine_relevance, Relevance};
+pub use relevance::{machine_projection, machine_relevance, Relevance};
 pub use stats::EngineStats;
 pub use twig::TwigM;

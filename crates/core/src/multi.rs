@@ -19,13 +19,13 @@
 //! module only owns the dispatch: the shared index, filter mode and the
 //! result tags.
 
-use twigm_sax::{Attribute, NodeId, SaxError, SaxReader, Symbol, SymbolTable};
+use twigm_sax::{Attribute, NodeId, Projection, SaxError, SaxReader, Symbol, SymbolTable};
 use twigm_xpath::{NameTest, Path};
 
 use crate::engine::{drive, NoTelemetry, StreamEngine};
 use crate::machine::{Machine, MachineError};
 use crate::observe::{MachineObserver, NoopObserver};
-use crate::relevance::Relevance;
+use crate::relevance::{machine_projection, union_projection, Relevance};
 use crate::stats::EngineStats;
 use crate::twig::{Ctx, Gauges, ResultSink, TwigCore};
 
@@ -382,6 +382,16 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
                 self.observer.on_document_end();
             }
         }
+    }
+
+    /// The union of every registered machine's projection, mapped into
+    /// the shared table: an element is skimmed only when no query can
+    /// match below it.
+    fn projection(&self) -> Option<Projection> {
+        union_projection(self.cores.iter().map(|c| {
+            let machine = c.machine();
+            Some(machine_projection(machine)?.remap(machine.symbols(), &self.table))
+        }))
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {

@@ -193,6 +193,10 @@ impl<O: MachineObserver> StreamEngine for PathM<O> {
         crate::relevance::machine_relevance(&self.machine)
     }
 
+    fn projection(&self) -> Option<twigm_sax::Projection> {
+        crate::relevance::machine_projection(&self.machine)
+    }
+
     fn needs_attributes(&self, _sym: Symbol) -> bool {
         // Predicate-free queries never inspect attributes.
         false

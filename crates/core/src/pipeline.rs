@@ -8,9 +8,11 @@
 //!
 //! * one **producer thread** runs the [`SaxReader`] and packs events into
 //!   fixed-capacity [`EventBatch`]es (interned symbols, flat string
-//!   arena — no per-event allocation), applying the symbol-relevance
-//!   **prefilter** so events no consumer can dispatch on never cross a
-//!   channel;
+//!   arena — no per-event allocation). The reader skims content below
+//!   which no consumer's query node can match (the union of the
+//!   consumers' [`StreamEngine::projection`]s over the plan's table),
+//!   and the symbol-relevance **prefilter** drops events no consumer can
+//!   dispatch on, so neither crosses a channel;
 //! * it **broadcasts** each batch, behind an `Arc`, to K bounded
 //!   channels, one per consumer (backpressure: the producer blocks when
 //!   any consumer lags). Whichever consumer drops the last reference
@@ -44,11 +46,11 @@ use std::sync::Arc;
 use std::thread;
 
 use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
-use twigm_sax::{NodeId, SaxError, SaxReader, Symbol, SymbolTable};
+use twigm_sax::{NodeId, Projection, SaxError, SaxReader, Symbol, SymbolTable};
 
 use crate::engine::{replay_batch, StreamEngine};
 use crate::multi::MultiTwigM;
-use crate::relevance::Relevance;
+use crate::relevance::{union_projection, Relevance};
 use crate::stats::EngineStats;
 
 /// Tuning knobs for the pipelined drivers.
@@ -59,8 +61,9 @@ pub struct PipelineOptions {
     /// Bounded-channel capacity in batches; the producer can run at most
     /// this far ahead of the slowest consumer.
     pub queue_depth: usize,
-    /// Apply the symbol-relevance prefilter at the producer. Off, every
-    /// event is delivered — the ablation baseline.
+    /// Apply the symbol-relevance prefilter and the path projection at
+    /// the producer. Off, every event is delivered — the ablation
+    /// baseline.
     pub prefilter: bool,
 }
 
@@ -98,14 +101,21 @@ pub struct PipelineStats {
     pub max_queue_depth: u64,
     /// Bytes consumed from the input stream.
     pub bytes: u64,
+    /// Events the producer's reader skimmed under the projection (never
+    /// scanned into a batch).
+    pub events_skipped: u64,
+    /// Bytes of element content the producer's reader skimmed.
+    pub bytes_skipped: u64,
 }
 
-/// Builds the producer's delivery plan for a set of consumers. The
-/// table interns every consumer's names in order, so for one consumer it
-/// equals that consumer's own table; attribute needs and relevance are
-/// merged name-wise. An engine without a table contributes no names:
-/// every tag it sees is `Symbol::UNKNOWN`, as in the serial driver.
-fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> BatchPlan {
+/// Builds the producer's delivery plan for a set of consumers, and the
+/// union of their projections over the plan's table (`None` when
+/// `prefilter` is off or any consumer has none). The table interns
+/// every consumer's names in order, so for one consumer it equals that
+/// consumer's own table; attribute needs and relevance are merged
+/// name-wise. An engine without a table contributes no names: every tag
+/// it sees is `Symbol::UNKNOWN`, as in the serial driver.
+fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> (BatchPlan, Option<Projection>) {
     let no_table = SymbolTable::new();
     let tables: Vec<&SymbolTable> = consumers
         .iter()
@@ -149,13 +159,24 @@ fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> BatchPlan {
             (slot, _) => *slot = None,
         }
     }
-    BatchPlan {
+    let projection = if prefilter {
+        union_projection(
+            consumers
+                .iter()
+                .zip(&tables)
+                .map(|(c, local)| Some(c.projection()?.remap(local, &table))),
+        )
+    } else {
+        None
+    };
+    let plan = BatchPlan {
         table,
         attr_syms,
         attr_unknown,
         relevant,
         wants_text,
-    }
+    };
+    (plan, projection)
 }
 
 /// The producer loop: scans `src` under `plan` and broadcasts every
@@ -164,12 +185,13 @@ fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> BatchPlan {
 /// scan error that ended the stream.
 fn produce<R: Read>(
     src: R,
-    plan: BatchPlan,
+    (plan, projection): (BatchPlan, Option<Projection>),
     batch_events: usize,
     txs: Vec<SyncSender<Arc<EventBatch>>>,
     received: &[AtomicU64],
 ) -> Result<PipelineStats, SaxError> {
-    let mut producer = BatchProducer::new(SaxReader::new(src), plan);
+    let reader = SaxReader::new(src).with_projection(projection);
+    let mut producer = BatchProducer::new(reader, plan);
     let mut stats = PipelineStats::default();
     loop {
         // A fresh batch each time, freed when its last consumer drops it:
@@ -193,6 +215,8 @@ fn produce<R: Read>(
         }
     }
     stats.bytes = producer.bytes_consumed();
+    stats.events_skipped = producer.events_skipped();
+    stats.bytes_skipped = producer.bytes_skipped();
     // Dropping `txs` closes every consumer channel.
     Ok(stats)
 }

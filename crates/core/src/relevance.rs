@@ -1,4 +1,7 @@
-//! Compile-time symbol-relevance analysis for the pipeline prefilter.
+//! Compile-time relevance analyses: the symbol prefilter of the batch
+//! pipeline, and the path projection every driver hands the reader.
+//!
+//! # Symbol relevance
 //!
 //! A compiled [`Machine`] names exactly the tags that can advance it: a
 //! start tag whose symbol is no machine node's symbol dispatches to
@@ -23,6 +26,28 @@
 //! *document* levels carried in the events, which skipping does not
 //! change, and child counters (`count(...)` predicates) are incremented
 //! by dispatched child nodes, which are by definition relevant.
+//!
+//! # Path projection
+//!
+//! [`machine_projection`] compiles the machine's anchored steps — the
+//! nodes reached from the document root by child edges only (folded `*`
+//! steps included) — into a [`Projection`], which annotates the open
+//! path with "can a query node still match below here". Every machine
+//! node is pushed only when its parent has an entry at the edge's level
+//! distance, so below an element where no anchored step is pending and
+//! no `//` edge is armed, no node is ever pushed: no push, pop, upload,
+//! candidate or result can come from that content. What the content
+//! could still feed is
+//!
+//! * the element's own text, when a text-testing node matches the
+//!   element itself: such a step keeps the content live;
+//! * sibling counters of positional predicates: each element resets
+//!   the counters of its children when it starts, so counters below a
+//!   skimmed element are never read before their owner resets them.
+
+use twigm_sax::projection::{StepFlags, StepRef};
+use twigm_sax::Projection;
+use twigm_xpath::NameTest;
 
 use crate::machine::Machine;
 
@@ -91,6 +116,53 @@ pub fn union_into(acc: &mut Relevance, other: &Relevance) {
     }
 }
 
+/// Compiles the path projection of one machine over its own symbol
+/// table (see the module docs). `None` — deliver every event — when the
+/// root step is `//`, or the machine has more anchored steps than a
+/// projection holds.
+pub fn machine_projection(machine: &Machine) -> Option<Projection> {
+    if !machine.nodes[machine.root].edge.exact {
+        return None;
+    }
+    let mut children = vec![Vec::new(); machine.len()];
+    for (v, node) in machine.nodes.iter().enumerate() {
+        if let Some(p) = node.parent {
+            children[p].push(v);
+        }
+    }
+    let mut projection = Projection::new();
+    // Parents before children: (node, parent step, parent level).
+    let mut todo = vec![(machine.root, StepRef::ROOT, 0u32)];
+    while let Some((v, parent, parent_level)) = todo.pop() {
+        let node = &machine.nodes[v];
+        let level = parent_level + node.edge.dist;
+        let flags = StepFlags {
+            arms: children[v].iter().any(|&c| !machine.nodes[c].edge.exact),
+            keeps_text: node.needs_text,
+            returns: node.is_sol,
+        };
+        let test = match node.name {
+            NameTest::Tag(_) => Some(node.sym),
+            NameTest::Wildcard => None,
+        };
+        let step = projection.add_step(parent, level, test, flags)?;
+        for &c in &children[v] {
+            if machine.nodes[c].edge.exact {
+                todo.push((c, step, level));
+            }
+        }
+    }
+    Some(projection)
+}
+
+/// The union of several engines' projections over one symbol table:
+/// `None` when any part is `None` or the union outgrows a projection.
+pub fn union_projection(parts: impl IntoIterator<Item = Option<Projection>>) -> Option<Projection> {
+    parts
+        .into_iter()
+        .try_fold(Projection::new(), |union, part| union.union(&part?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +219,82 @@ mod tests {
         let (_, rel) = relevance_of("//a[b = 'x']/c");
         assert!(rel.wants_text);
         assert!(rel.symbols.is_some());
+    }
+
+    fn projection_of(query: &str) -> Option<(Machine, Projection)> {
+        let machine = Machine::from_path(&parse(query).unwrap()).unwrap();
+        let projection = machine_projection(&machine)?;
+        Some((machine, projection))
+    }
+
+    /// Which elements of `xml` a driver delivers under `query`'s
+    /// projection, as `name@level`.
+    fn delivered(query: &str, xml: &str) -> Vec<String> {
+        let (machine, projection) = projection_of(query).expect("a projection");
+        let mut reader =
+            twigm_sax::SaxReader::from_bytes(xml.as_bytes()).with_projection(Some(projection));
+        let mut out = Vec::new();
+        while let Some(event) = reader.next_event().unwrap() {
+            if let twigm_sax::Event::Start(tag) = event {
+                out.push(format!("{}@{}", tag.name(), tag.level()));
+                let sym = machine.symbols().lookup(tag.name());
+                reader.project(sym);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn descendant_roots_compile_to_no_projection() {
+        assert!(projection_of("//a/b").is_none());
+        assert!(projection_of("//a[b]").is_none());
+        assert!(projection_of("/a/b").is_some());
+        assert!(projection_of("/a//b").is_some());
+    }
+
+    #[test]
+    fn child_paths_skim_everything_off_the_path() {
+        let xml = "<r><a><b><x/></b><c><b/></c></a><d><a/></d></r>";
+        assert_eq!(
+            delivered("/r/a/b", xml),
+            ["r@1", "a@2", "b@3", "c@3", "d@2"]
+        );
+        // A `//` edge arms: all of `a` stays live.
+        assert_eq!(
+            delivered("/r/a//b", xml),
+            ["r@1", "a@2", "b@3", "x@4", "c@3", "b@4", "d@2"]
+        );
+        // Folded `*` steps keep their level.
+        assert_eq!(
+            delivered("/r/*/b", xml),
+            ["r@1", "a@2", "b@3", "c@3", "d@2", "a@3"]
+        );
+        // Predicate children are anchored steps too.
+        assert_eq!(
+            delivered("/r/a[c/b]/b", xml),
+            ["r@1", "a@2", "b@3", "c@3", "b@4", "d@2"]
+        );
+    }
+
+    #[test]
+    fn text_tests_keep_their_own_text() {
+        let (machine, projection) = projection_of("/r/a[text() = 'x']").unwrap();
+        let mut reader = twigm_sax::SaxReader::from_bytes(&b"<r><a>x<b>y</b></a></r>"[..])
+            .with_projection(Some(projection));
+        let mut texts = Vec::new();
+        while let Some(event) = reader.next_event().unwrap() {
+            match event {
+                twigm_sax::Event::Start(tag) => {
+                    let sym = machine.symbols().lookup(tag.name());
+                    reader.project(sym);
+                }
+                twigm_sax::Event::Text(t) => texts.push(t.into_owned()),
+                _ => {}
+            }
+        }
+        // `a`'s own text is delivered; `b`'s content is skimmed.
+        assert_eq!(texts, ["x"]);
+        assert_eq!(reader.events_skipped(), 1);
     }
 
     #[test]

@@ -663,6 +663,10 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
         crate::relevance::machine_relevance(&self.core.machine)
     }
 
+    fn projection(&self) -> Option<twigm_sax::Projection> {
+        crate::relevance::machine_projection(&self.core.machine)
+    }
+
     fn symbols(&self) -> Option<&SymbolTable> {
         Some(self.core.machine.symbols())
     }

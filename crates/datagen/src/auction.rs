@@ -1,11 +1,12 @@
 //! The Auction dataset: the role of the XMark benchmark document
 //! (paper §5.1, second dataset).
 //!
-//! The shape follows XMark's auction DTD: a `site` with regional item
-//! listings, categories, registered people, and open/closed auctions.
-//! Unlike XMark's single fixed document, the record (`item` + `person` +
-//! auction groups) repeats until the byte target is met, which is how the
-//! harness produces the paper's ~34 MB size. The only recursion is the
+//! The shape follows XMark's auction DTD: regional item listings,
+//! categories, registered people, and open/closed auctions. Unlike
+//! XMark's single fixed document, they sit one level down, in a `block`
+//! that repeats under `site` until the byte target is met
+//! (`/site/block/regions/…`), which is how the harness produces the
+//! paper's ~34 MB size. The only recursion is the
 //! shallow `parlist/listitem/parlist` chain inside descriptions, so all
 //! systems behave regularly here — the role this dataset plays in
 //! figure 7(b).
@@ -300,6 +301,49 @@ mod tests {
         ] {
             assert!(text.contains(tag), "missing {tag}");
         }
+    }
+
+    /// The document is `/site/block/{regions, categories, people,
+    /// open_auctions, closed_auctions}` — one repeated slice of XMark's
+    /// `site` per block — not XMark's `site/{regions, …}`. The
+    /// `auction-union-2t` benchmark inputs are generated from this shape,
+    /// so it must not drift.
+    #[test]
+    fn sections_nest_under_repeated_site_blocks() {
+        let mut out = Vec::new();
+        generate(42, 80_000, &mut out).unwrap();
+        let mut reader = twigm_sax::SaxReader::from_bytes(&out);
+        let mut path: Vec<String> = Vec::new();
+        let (mut blocks, mut sections) = (0, Vec::new());
+        while let Some(event) = reader.next_event().unwrap() {
+            match event {
+                twigm_sax::Event::Start(tag) => {
+                    path.push(tag.name().to_string());
+                    match path.len() {
+                        1 => assert_eq!(tag.name(), "site"),
+                        2 => {
+                            assert_eq!(tag.name(), "block");
+                            blocks += 1;
+                        }
+                        3 if blocks == 1 => sections.push(tag.name().to_string()),
+                        _ => {}
+                    }
+                }
+                twigm_sax::Event::End(_) => {
+                    path.pop();
+                }
+                _ => {}
+            }
+        }
+        assert!(blocks > 1, "{blocks} block(s)");
+        let expected = [
+            "regions",
+            "categories",
+            "people",
+            "open_auctions",
+            "closed_auctions",
+        ];
+        assert_eq!(sections, expected);
     }
 
     #[test]

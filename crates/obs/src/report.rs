@@ -58,6 +58,16 @@ impl StatsReport {
         }
     }
 
+    /// Events and bytes the reader's projection skimmed: from the
+    /// driver's telemetry, else from the pipeline's producer.
+    pub fn skipped(&self) -> Option<(u64, u64)> {
+        match (&self.telemetry, &self.pipeline) {
+            (Some(t), _) => Some((t.skipped_events, t.skipped_bytes)),
+            (None, Some(p)) => Some((p.events_skipped, p.bytes_skipped)),
+            (None, None) => None,
+        }
+    }
+
     /// The paper's `|Q| · R` memory bound, when both factors are known.
     pub fn qr_bound(&self) -> Option<u64> {
         let q = self.machine_size? as u64;
@@ -75,6 +85,8 @@ impl StatsReport {
             .f64("duration_secs", self.duration.as_secs_f64())
             .opt_u64("bytes", t.map(|t| t.bytes))
             .u64("events", self.events())
+            .opt_u64("skipped_events", self.skipped().map(|s| s.0))
+            .opt_u64("skipped_bytes", self.skipped().map(|s| s.1))
             .f64("events_per_sec", self.events_per_sec());
         match self.bytes_per_sec() {
             Some(bps) => o.f64("bytes_per_sec", bps),
@@ -155,6 +167,12 @@ impl StatsReport {
             ),
         };
         line("input", input);
+        if let Some((events, bytes)) = self.skipped().filter(|s| s.0 > 0) {
+            line(
+                "skimmed",
+                format!("{events} events in {} of content", format_bytes(bytes)),
+            );
+        }
         let first = match (self.time_to_first_result, &self.telemetry) {
             (Some(d), Some(t)) => match (t.first_result_event, t.first_result_byte) {
                 (Some(e), Some(b)) => format!(
@@ -304,6 +322,8 @@ mod tests {
             telemetry: Some(StreamTelemetry {
                 bytes: 2048,
                 events: 10,
+                skipped_events: 6,
+                skipped_bytes: 120,
                 max_depth: 3,
                 first_result_event: Some(5),
                 first_result_byte: Some(100),
@@ -324,6 +344,8 @@ mod tests {
             r#""engine":"twig""#,
             r#""bytes":2048"#,
             r#""events":10"#,
+            r#""skipped_events":6"#,
+            r#""skipped_bytes":120"#,
             r#""events_per_sec":1000.0"#,
             r#""peak_entries":2"#,
             r#""work":6"#,
@@ -348,6 +370,7 @@ mod tests {
         let json = report.to_json();
         for needle in [
             r#""bytes":null"#,
+            r#""skipped_events":null"#,
             r#""machine_size":null"#,
             r#""qr_bound":null"#,
             r#""time_to_first_result_secs":null"#,
@@ -360,6 +383,7 @@ mod tests {
     fn pipelined_reports_carry_the_queue_counters() {
         let mut report = sample();
         assert!(report.to_json().contains(r#""pipeline":null"#));
+        report.telemetry = None;
         report.pipeline = Some(PipelineStats {
             threads: 2,
             batches: 4,
@@ -370,6 +394,8 @@ mod tests {
             consumer_stalls: 3,
             max_queue_depth: 2,
             bytes: 2048,
+            events_skipped: 5,
+            bytes_skipped: 64,
         });
         let json = report.to_json();
         for needle in [
@@ -380,6 +406,8 @@ mod tests {
             r#""producer_stalls":1"#,
             r#""consumer_stalls":3"#,
             r#""max_queue_depth":2"#,
+            r#""skipped_events":5"#,
+            r#""skipped_bytes":64"#,
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
@@ -394,6 +422,7 @@ mod tests {
         assert!(text.contains("|Q|·R = 9"), "{text}");
         assert!(text.contains("first after 2.00 ms"), "{text}");
         assert!(text.contains("2.0 KB"), "{text}");
+        assert!(text.contains("6 events in 120 B of content"), "{text}");
     }
 
     #[test]

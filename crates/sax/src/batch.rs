@@ -30,6 +30,13 @@
 //!   level of that element explicitly, because an engine's internal
 //!   depth tracker only advances on *delivered* events and would
 //!   otherwise misroute text that follows a skipped subtree.
+//!
+//! Before the prefilter, a reader with a [`crate::Projection`] installed
+//! skims the content of elements below which no query node can match
+//! (see [`SaxReader::project`]): the producer reports every start tag's
+//! plan symbol to the reader, and skimmed events are counted by the
+//! reader ([`BatchProducer::events_skipped`]), never scanned into a
+//! batch.
 
 use std::io::Read;
 
@@ -290,6 +297,16 @@ impl<R: Read> BatchProducer<R> {
         self.reader.events_emitted()
     }
 
+    /// Events the reader's projection skimmed so far.
+    pub fn events_skipped(&self) -> u64 {
+        self.reader.events_skipped()
+    }
+
+    /// Content bytes the reader's projection skimmed so far.
+    pub fn bytes_skipped(&self) -> u64 {
+        self.reader.bytes_skipped()
+    }
+
     /// Clears `batch` and refills it with up to `max_events` delivered
     /// events. Returns `false` when the stream is exhausted *and* the
     /// batch carries nothing (no events, no accounting) — the loop
@@ -317,6 +334,7 @@ impl<R: Read> BatchProducer<R> {
                     } else {
                         batch.filtered += 1;
                     }
+                    self.reader.project(sym);
                 }
                 Event::End(tag) => {
                     // Mirror the start's decision exactly, so engines see

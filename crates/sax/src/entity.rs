@@ -64,12 +64,57 @@ pub fn decode_entities_into(
     Ok(true)
 }
 
-fn decode_into(
+/// Checks the entity and character references in `raw` exactly as
+/// [`decode_entities_with`] does — same errors at the same offset,
+/// expansion limits included — without building the decoded text.
+pub(crate) fn check_entities(raw: &str, offset: u64, custom: Option<&EntityMap>) -> SaxResult<()> {
+    if raw.contains('&') {
+        decode_into(raw, offset, custom, 0, &mut Measure(0))?;
+    }
+    Ok(())
+}
+
+/// Where [`decode_into`] writes: a `String`, or a [`Measure`] that only
+/// counts the bytes.
+trait Decoded {
+    fn push_str(&mut self, s: &str);
+    fn push(&mut self, c: char);
+    fn len(&self) -> usize;
+}
+
+impl Decoded for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s)
+    }
+    fn push(&mut self, c: char) {
+        String::push(self, c)
+    }
+    fn len(&self) -> usize {
+        String::len(self)
+    }
+}
+
+/// The length of a decode, for checking without the text.
+struct Measure(usize);
+
+impl Decoded for Measure {
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+    fn push(&mut self, c: char) {
+        self.0 += c.len_utf8();
+    }
+    fn len(&self) -> usize {
+        self.0
+    }
+}
+
+fn decode_into<D: Decoded>(
     raw: &str,
     offset: u64,
     custom: Option<&EntityMap>,
     depth: usize,
-    out: &mut String,
+    out: &mut D,
 ) -> SaxResult<()> {
     if depth > MAX_ENTITY_DEPTH {
         return Err(SaxError::Syntax {
@@ -209,6 +254,27 @@ mod tests {
         assert!(decode_entities("&#xD800;", 0).is_err()); // surrogate
         assert!(decode_entities("&#xyz;", 0).is_err());
         assert!(decode_entities("&#;", 0).is_err());
+    }
+
+    #[test]
+    fn checking_reports_what_decoding_reports() {
+        let mut custom = EntityMap::new();
+        custom.insert("big".into(), "x".repeat(300_000));
+        custom.insert("bigger".into(), "&big;&big;&big;&big;".into());
+        for raw in [
+            "plain",
+            "a &amp; &#65;",
+            "&nbsp;",
+            "&amp",
+            "&#xD800;",
+            "&bigger;",
+            "&big;",
+        ] {
+            let decoded = decode_entities_with(raw, 7, Some(&custom)).map(|_| ());
+            let checked = check_entities(raw, 7, Some(&custom));
+            assert_eq!(format!("{checked:?}"), format!("{decoded:?}"), "{raw}");
+        }
+        assert!(check_entities("&bigger;", 0, Some(&custom)).is_err());
     }
 
     #[test]

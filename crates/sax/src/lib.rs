@@ -23,6 +23,10 @@
 //! offsets. Attribute entities are checked when the tag is scanned, so a
 //! consumer that never decodes attributes still sees the same error.
 //!
+//! A reader given a [`Projection`] skims the content of elements below
+//! which no query node can match ([`SaxReader::project`]): no events,
+//! no decoding, but the same checks and the same errors.
+//!
 //! [`XmlWriter`] is the inverse: an escaping serializer used by the dataset
 //! generators and by TwigM's XML-fragment output mode.
 //!
@@ -53,6 +57,7 @@ mod entity;
 mod error;
 mod event;
 mod handler;
+pub mod projection;
 mod reader;
 pub mod scan;
 mod symbol;
@@ -66,6 +71,7 @@ pub use entity::{
 pub use error::{SaxError, SaxResult};
 pub use event::{Attribute, EndTag, Event, NodeId, OwnedEvent, StartTag};
 pub use handler::{parse_bytes, parse_reader, SaxHandler};
+pub use projection::Projection;
 pub use reader::{FeedEvent, FeedReader, SaxReader};
 pub use symbol::{Symbol, SymbolTable};
 pub use writer::XmlWriter;

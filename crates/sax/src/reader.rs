@@ -3,10 +3,12 @@
 use std::borrow::Cow;
 use std::io::Read;
 
-use crate::entity::{decode_entities_into, decode_entities_with, EntityMap};
+use crate::entity::{check_entities, decode_entities_into, EntityMap};
 use crate::error::{SaxError, SaxResult};
 use crate::event::{EndTag, Event, NodeId, StartTag};
+use crate::projection::{Cursor, Projection, Verdict};
 use crate::scan;
+use crate::symbol::Symbol;
 
 /// Read granularity of the internal buffer.
 const CHUNK: usize = 64 * 1024;
@@ -28,6 +30,12 @@ const DEFAULT_MAX_MARKUP: usize = 16 * 1024 * 1024;
 /// Empty-element tags `<a/>` are reported as a start event immediately
 /// followed by a synthetic end event, so downstream machines only deal with
 /// balanced start/end pairs.
+///
+/// With a [`Projection`] installed, a driver that reports each start
+/// tag's symbol through [`SaxReader::project`] gets no events for the
+/// content of elements below which no query node can match: the reader
+/// skims that content instead (see [`SaxReader::project`] for what a
+/// skim still checks).
 pub struct SaxReader<R> {
     src: R,
     /// Buffered input; `buf[pos..]` is unconsumed.
@@ -36,15 +44,8 @@ pub struct SaxReader<R> {
     eof: bool,
     /// Absolute stream offset of `buf[0]`.
     base: u64,
-    /// Names of currently open elements (the paper's *active nodes*),
-    /// concatenated into one reusable byte stack: `open_names[open_offsets[i]..
-    /// open_offsets[i + 1]]` is the validated-UTF-8 name of the `i`-th open
-    /// element. Pushing a start tag appends bytes instead of allocating an
-    /// owned `String` per element; `String`s are only materialized on error
-    /// paths.
-    open_names: Vec<u8>,
-    /// Start offset of each open element's name within `open_names`.
-    open_offsets: Vec<usize>,
+    /// The currently open elements (the paper's *active nodes*).
+    open: OpenElements,
     next_id: u64,
     root_seen: bool,
     /// The previous event was a synthetic empty-tag end that borrowed its
@@ -61,6 +62,103 @@ pub struct SaxReader<R> {
     text_scratch: String,
     /// Events emitted so far (event accounting for telemetry).
     events: u64,
+    /// The projection run over the open path.
+    projection: Projecting,
+    /// Depth of the element whose content is being skimmed, 0 when the
+    /// reader is not skimming.
+    skim_depth: u32,
+    /// Offset where the current skim started.
+    skim_from: u64,
+    /// Events the skims stepped over, counted as `next_event` would have
+    /// emitted them.
+    skipped_events: u64,
+    /// Content bytes the skims stepped over.
+    skipped_bytes: u64,
+    /// Deepest element nesting seen, skimmed content included.
+    max_depth: u32,
+}
+
+/// Whether a reader projects.
+#[derive(Debug)]
+enum Projecting {
+    /// No projection was installed yet.
+    Unset,
+    /// Projection is off: every event is delivered.
+    Off,
+    /// The projection runs over this document.
+    On(Cursor),
+}
+
+/// Names of currently open elements, concatenated into one reusable
+/// byte stack: `names[offsets[i]..offsets[i + 1]]` is the validated
+/// UTF-8 name of the `i`-th open element. Pushing a start tag appends
+/// bytes instead of allocating an owned `String` per element; `String`s
+/// are only materialized on error paths. A field of its own, so the
+/// reader can push a name it holds as a `&str` borrowed from its buffer.
+#[derive(Debug, Default)]
+struct OpenElements {
+    names: Vec<u8>,
+    /// Start offset of each open element's name within `names`.
+    offsets: Vec<usize>,
+}
+
+impl OpenElements {
+    /// Number of open elements.
+    fn depth(&self) -> u32 {
+        self.offsets.len() as u32
+    }
+
+    /// Opens an element; returns its level.
+    fn push(&mut self, name: &str) -> u32 {
+        self.offsets.push(self.names.len());
+        self.names.extend_from_slice(name.as_bytes());
+        self.depth()
+    }
+
+    /// Closes the innermost element, if any.
+    fn pop(&mut self) {
+        if let Some(off) = self.offsets.pop() {
+            self.names.truncate(off);
+        }
+    }
+
+    /// Name of the innermost open element.
+    fn innermost(&self) -> Option<&str> {
+        self.offsets.last().map(|&off| {
+            std::str::from_utf8(&self.names[off..]).expect("open names are validated UTF-8")
+        })
+    }
+
+    /// The length of the end tag at the start of `bytes` when it is
+    /// exactly `</name>` for the innermost element's name: what the
+    /// scanner would accept, and match, with no further check.
+    fn plain_end_tag(&self, bytes: &[u8]) -> Option<usize> {
+        let name = &self.names[*self.offsets.last()?..];
+        let len = name.len() + 3;
+        let tag = bytes.get(..len)?;
+        (tag.starts_with(b"</") && &tag[2..len - 1] == name && tag[len - 1] == b'>').then_some(len)
+    }
+
+    /// Closes the innermost element with the end tag `found` at `offset`,
+    /// which must name it. Returns the level it closed.
+    fn close(&mut self, found: &str, offset: u64) -> SaxResult<u32> {
+        let Some(&off) = self.offsets.last() else {
+            return Err(SaxError::UnexpectedEndTag {
+                offset,
+                found: found.to_string(),
+            });
+        };
+        if self.names[off..] != *found.as_bytes() {
+            return Err(SaxError::MismatchedTag {
+                offset,
+                expected: String::from_utf8_lossy(&self.names[off..]).into_owned(),
+                found: found.to_string(),
+            });
+        }
+        let level = self.depth();
+        self.pop();
+        Ok(level)
+    }
 }
 
 /// What the scanner found, as plain ranges into `buf`.
@@ -120,8 +218,7 @@ impl<R: Read> SaxReader<R> {
             pos: 0,
             eof: false,
             base: 0,
-            open_names: Vec::new(),
-            open_offsets: Vec::new(),
+            open: OpenElements::default(),
             next_id: 0,
             root_seen: false,
             pending_pop: false,
@@ -130,6 +227,12 @@ impl<R: Read> SaxReader<R> {
             entities: EntityMap::new(),
             text_scratch: String::new(),
             events: 0,
+            projection: Projecting::Unset,
+            skim_depth: 0,
+            skim_from: 0,
+            skipped_events: 0,
+            skipped_bytes: 0,
+            max_depth: 0,
         }
     }
 
@@ -146,33 +249,81 @@ impl<R: Read> SaxReader<R> {
 
     /// Current element nesting depth (number of open elements).
     pub fn depth(&self) -> u32 {
-        self.open_offsets.len() as u32
+        self.open.depth()
     }
 
-    /// Pushes an open element name (already validated as UTF-8) from
-    /// `buf[range]` onto the reusable name stack.
-    fn push_open(&mut self, range: (usize, usize)) {
-        self.open_offsets.push(self.open_names.len());
-        self.open_names
-            .extend_from_slice(&self.buf[range.0..range.1]);
+    /// Deepest element nesting seen so far, skimmed content included —
+    /// the document's recursion depth once the stream is done.
+    pub fn max_depth(&self) -> u32 {
+        self.max_depth
     }
 
-    /// Pops the innermost open element name.
-    fn pop_open(&mut self) {
-        if let Some(off) = self.open_offsets.pop() {
-            self.open_names.truncate(off);
+    /// Installs `projection` for this document; `None` switches
+    /// projection off, so drivers deliver every event. Must be called
+    /// before the first event.
+    pub fn with_projection(mut self, projection: Option<Projection>) -> Self {
+        self.set_projection(projection);
+        self
+    }
+
+    fn set_projection(&mut self, projection: Option<Projection>) {
+        debug_assert!(!self.root_seen, "projection installed mid-document");
+        self.projection = match projection {
+            Some(p) => Projecting::On(Cursor::new(p)),
+            None => Projecting::Off,
+        };
+    }
+
+    /// Installs the projection `compile` returns, unless a projection
+    /// was installed or switched off before, or the document has begun.
+    /// Returns whether the reader projects.
+    pub fn project_with(&mut self, compile: impl FnOnce() -> Option<Projection>) -> bool {
+        if matches!(self.projection, Projecting::Unset) && !self.root_seen {
+            self.set_projection(compile());
+        }
+        matches!(self.projection, Projecting::On(_))
+    }
+
+    /// Runs the projection on the element the last start event opened,
+    /// whose tag has symbol `sym` in the projection's table. When no
+    /// query node can match below the element, and its own text is not
+    /// tested, the reader **skims** its content: the next event is the
+    /// element's end tag.
+    ///
+    /// A skim builds no events, decodes no text and has no caller to
+    /// call, but checks everything [`SaxReader::next_event`] checks:
+    /// UTF-8, names, attribute syntax and uniqueness, entity and
+    /// character references (without expanding them into text),
+    /// end-tag matching and the markup limit. It counts pre-order ids,
+    /// so the elements after it keep their ids, and it resumes where it
+    /// stopped when a [`FeedReader`] runs out of data.
+    ///
+    /// A projecting driver calls this after every start event; without
+    /// a projection it does nothing.
+    #[inline]
+    pub fn project(&mut self, sym: Symbol) {
+        // An empty element has no content to skim.
+        if self.pending_empty_end {
+            return;
+        }
+        if let Projecting::On(cursor) = &mut self.projection {
+            let level = self.open.depth();
+            if cursor.start(sym, level) == Verdict::Skim {
+                self.skim_depth = level;
+                self.skim_from = self.base + self.pos as u64;
+            }
         }
     }
 
-    /// Name bytes of the innermost open element, if any.
-    fn last_open(&self) -> Option<&[u8]> {
-        self.open_offsets.last().map(|&off| &self.open_names[off..])
+    /// Events the skims stepped over, counted as
+    /// [`SaxReader::next_event`] would have returned them.
+    pub fn events_skipped(&self) -> u64 {
+        self.skipped_events
     }
 
-    /// Name of the innermost open element as a `&str`.
-    fn last_open_str(&self) -> Option<&str> {
-        self.last_open()
-            .map(|bytes| std::str::from_utf8(bytes).expect("open names are validated UTF-8"))
+    /// Bytes of element content the skims stepped over.
+    pub fn bytes_skipped(&self) -> u64 {
+        self.skipped_bytes
     }
 
     /// Number of events emitted so far. Together with
@@ -186,28 +337,38 @@ impl<R: Read> SaxReader<R> {
     #[allow(clippy::should_implement_trait)]
     pub fn next_event(&mut self) -> SaxResult<Option<Event<'_>>> {
         if self.pending_pop {
-            self.pop_open();
+            self.open.pop();
             self.pending_pop = false;
         }
         if self.pending_empty_end {
             self.pending_empty_end = false;
             self.pending_pop = true;
-            let level = self.open_offsets.len() as u32;
+            let level = self.open.depth();
             self.events += 1;
             let name = self
-                .last_open_str()
+                .open
+                .innermost()
                 .expect("empty-tag end with empty stack");
             return Ok(Some(Event::End(EndTag { name, level })));
         }
         loop {
-            match self.scan_next()? {
+            // Each range is checked as UTF-8 once, and the `&str` that
+            // check yields is the one the event carries: the open-element
+            // stack, the decode scratch and the entity map are fields of
+            // their own, so they stay usable while `buf` is borrowed.
+            let scanned = if self.skim_depth != 0 {
+                self.skim()?
+            } else {
+                self.scan_next()?
+            };
+            match scanned {
                 Scanned::Doctype { range } => {
-                    let text = self.str_at(range)?.to_string();
-                    parse_entity_decls(&text, &mut self.entities);
+                    let text = str_in(&self.buf, self.base, range)?;
+                    parse_entity_decls(text, &mut self.entities);
                     continue;
                 }
                 Scanned::Eof => {
-                    if let Some(name) = self.last_open_str() {
+                    if let Some(name) = self.open.innermost() {
                         return Err(SaxError::UnexpectedEof {
                             open_element: Some(name.to_string()),
                         });
@@ -223,26 +384,21 @@ impl<R: Read> SaxReader<R> {
                     self_closing,
                     offset,
                 } => {
-                    // Validate UTF-8 before mutating state. Only the error
-                    // path materializes an owned name.
-                    self.str_at(name)?;
-                    self.str_at(attr)?;
-                    if self.open_offsets.is_empty() && self.root_seen {
+                    let name = str_in(&self.buf, self.base, name)?;
+                    let attr_text = str_in(&self.buf, self.base, attr)?;
+                    if self.open.depth() == 0 && self.root_seen {
                         return Err(SaxError::MultipleRoots {
                             offset,
-                            name: self.str_at(name)?.to_string(),
+                            name: name.to_string(),
                         });
                     }
-                    self.push_open(name);
+                    let level = self.open.push(name);
+                    self.max_depth = self.max_depth.max(level);
                     self.root_seen = true;
-                    let level = self.open_offsets.len() as u32;
                     let id = NodeId::new(self.next_id);
                     self.next_id += 1;
                     self.pending_empty_end = self_closing;
                     self.events += 1;
-                    // All mutation done; take the final borrows.
-                    let name = str_unchecked(&self.buf, name);
-                    let attr_text = str_unchecked(&self.buf, attr);
                     return Ok(Some(Event::Start(StartTag {
                         name,
                         attr_text,
@@ -253,31 +409,13 @@ impl<R: Read> SaxReader<R> {
                     })));
                 }
                 Scanned::End { name, offset } => {
-                    let found = self.str_at(name)?;
-                    match self.last_open() {
-                        None => {
-                            return Err(SaxError::UnexpectedEndTag {
-                                offset,
-                                found: found.to_string(),
-                            })
-                        }
-                        Some(expected) if expected != found.as_bytes() => {
-                            return Err(SaxError::MismatchedTag {
-                                offset,
-                                expected: self.last_open_str().expect("checked").to_string(),
-                                found: found.to_string(),
-                            })
-                        }
-                        Some(_) => {}
-                    }
-                    let level = self.open_offsets.len() as u32;
-                    self.pop_open();
+                    let name = str_in(&self.buf, self.base, name)?;
+                    let level = self.open.close(name, offset)?;
                     self.events += 1;
-                    let name = str_unchecked(&self.buf, name);
                     return Ok(Some(Event::End(EndTag { name, level })));
                 }
                 Scanned::Text { range, cdata } => {
-                    if self.open_offsets.is_empty() {
+                    if self.open.depth() == 0 {
                         // Only whitespace may appear outside the root.
                         let bytes = &self.buf[range.0..range.1];
                         if bytes.iter().all(|b| b.is_ascii_whitespace()) {
@@ -292,40 +430,110 @@ impl<R: Read> SaxReader<R> {
                     }
                     let offset = self.base + range.0 as u64;
                     self.events += 1;
-                    self.str_at(range)?; // validate UTF-8
-                    let s = str_unchecked(&self.buf, range);
+                    let raw = str_in(&self.buf, self.base, range)?;
                     // Decode into the reusable scratch: no per-event
-                    // `String` once the scratch has grown. `buf` and
-                    // `text_scratch` are disjoint fields, so the decode
-                    // can read one while writing the other.
+                    // `String` once the scratch has grown.
                     let text = if !cdata
                         && decode_entities_into(
-                            s,
+                            raw,
                             offset,
                             Some(&self.entities),
                             &mut self.text_scratch,
                         )? {
-                        Cow::Borrowed(self.text_scratch.as_str())
+                        self.text_scratch.as_str()
                     } else {
-                        Cow::Borrowed(str_unchecked(&self.buf, range))
+                        raw
                     };
-                    return Ok(Some(Event::Text(text)));
+                    return Ok(Some(Event::Text(Cow::Borrowed(text))));
                 }
                 Scanned::Comment { range } => {
                     self.events += 1;
-                    let s = self.str_at(range)?;
+                    let s = str_in(&self.buf, self.base, range)?;
                     return Ok(Some(Event::Comment(s)));
                 }
                 Scanned::Pi { target, data } => {
-                    let target_s = self.str_at(target)?;
-                    if target_s.eq_ignore_ascii_case("xml") {
+                    if self.buf[target.0..target.1].eq_ignore_ascii_case(b"xml") {
                         continue; // XML declaration
                     }
+                    let target = str_in(&self.buf, self.base, target)?;
+                    let data = str_in(&self.buf, self.base, data)?;
                     self.events += 1;
-                    let target = str_unchecked(&self.buf, target);
-                    let data = str_unchecked(&self.buf, data);
                     return Ok(Some(Event::ProcessingInstruction { target, data }));
                 }
+            }
+        }
+    }
+
+    /// Steps over the content of the element open at depth `skim_depth`
+    /// with every check [`SaxReader::next_event`] makes (see
+    /// [`SaxReader::project`]), counting the events it does not build.
+    /// Returns the end tag that closes the element, for `next_event` to
+    /// report, or a DOCTYPE or the end of input for `next_event` to
+    /// handle as it always does. An error — including a source that
+    /// would block — leaves the skim where it was, to resume.
+    fn skim(&mut self) -> SaxResult<Scanned> {
+        loop {
+            if self.open.depth() > self.skim_depth {
+                if let Some(len) = self.open.plain_end_tag(&self.buf[self.pos..]) {
+                    // `</name>` closing the innermost element, with the
+                    // name's bytes already checked at its start tag.
+                    self.pos += len;
+                    self.open.pop();
+                    self.skipped_events += 1;
+                    continue;
+                }
+            }
+            let scanned = self.scan_next()?;
+            match scanned {
+                Scanned::Start {
+                    name,
+                    attr,
+                    self_closing,
+                    ..
+                } => {
+                    let name = str_in(&self.buf, self.base, name)?;
+                    str_in(&self.buf, self.base, attr)?;
+                    let level = self.open.push(name);
+                    self.max_depth = self.max_depth.max(level);
+                    self.next_id += 1;
+                    self.skipped_events += 1;
+                    if self_closing {
+                        self.open.pop();
+                        self.skipped_events += 1;
+                    }
+                }
+                Scanned::End { name, offset } if self.open.depth() > self.skim_depth => {
+                    let name = str_in(&self.buf, self.base, name)?;
+                    self.open.close(name, offset)?;
+                    self.skipped_events += 1;
+                }
+                Scanned::End { offset, .. } => {
+                    self.skipped_bytes += offset - self.skim_from;
+                    self.skim_depth = 0;
+                    return Ok(scanned);
+                }
+                Scanned::Text { range, cdata } => {
+                    if range.0 != range.1 {
+                        let raw = str_in(&self.buf, self.base, range)?;
+                        if !cdata {
+                            let offset = self.base + range.0 as u64;
+                            check_entities(raw, offset, Some(&self.entities))?;
+                        }
+                        self.skipped_events += 1;
+                    }
+                }
+                Scanned::Comment { range } => {
+                    str_in(&self.buf, self.base, range)?;
+                    self.skipped_events += 1;
+                }
+                Scanned::Pi { target, data } => {
+                    if !self.buf[target.0..target.1].eq_ignore_ascii_case(b"xml") {
+                        str_in(&self.buf, self.base, target)?;
+                        str_in(&self.buf, self.base, data)?;
+                        self.skipped_events += 1;
+                    }
+                }
+                Scanned::Doctype { .. } | Scanned::Eof => return Ok(scanned),
             }
         }
     }
@@ -611,7 +819,7 @@ impl<R: Read> SaxReader<R> {
         }
         // Invalid UTF-8 is reported by the caller's check.
         if let Ok(text) = std::str::from_utf8(value) {
-            decode_entities_with(text, offset, Some(&self.entities))?;
+            check_entities(text, offset, Some(&self.entities))?;
         }
         Ok(())
     }
@@ -726,12 +934,6 @@ impl<R: Read> SaxReader<R> {
             });
         }
         Ok(())
-    }
-
-    fn str_at(&self, range: (usize, usize)) -> SaxResult<&str> {
-        std::str::from_utf8(&self.buf[range.0..range.1]).map_err(|e| SaxError::InvalidUtf8 {
-            offset: self.base + (range.0 + e.valid_up_to()) as u64,
-        })
     }
 
     fn syntax_at(&self, offset: u64, message: &str) -> SaxError {
@@ -868,6 +1070,38 @@ impl FeedReader {
         self.inner.depth()
     }
 
+    /// [`SaxReader::with_projection`] for fed input.
+    pub fn with_projection(mut self, projection: Option<Projection>) -> Self {
+        self.inner.set_projection(projection);
+        self
+    }
+
+    /// [`SaxReader::project_with`] for fed input.
+    pub fn project_with(&mut self, compile: impl FnOnce() -> Option<Projection>) -> bool {
+        self.inner.project_with(compile)
+    }
+
+    /// [`SaxReader::project`] for fed input: a skim that runs out of
+    /// data resumes in the next [`FeedReader::next_event`] after a feed.
+    pub fn project(&mut self, sym: Symbol) {
+        self.inner.project(sym)
+    }
+
+    /// [`SaxReader::max_depth`].
+    pub fn max_depth(&self) -> u32 {
+        self.inner.max_depth()
+    }
+
+    /// [`SaxReader::events_skipped`].
+    pub fn events_skipped(&self) -> u64 {
+        self.inner.events_skipped()
+    }
+
+    /// [`SaxReader::bytes_skipped`].
+    pub fn bytes_skipped(&self) -> u64 {
+        self.inner.bytes_skipped()
+    }
+
     /// Parses the next event out of the buffered input.
     ///
     /// Errors are terminal and identical to the ones [`SaxReader`] would
@@ -890,9 +1124,12 @@ impl Default for FeedReader {
     }
 }
 
-/// Re-slices a range already validated as UTF-8.
-fn str_unchecked(buf: &[u8], range: (usize, usize)) -> &str {
-    std::str::from_utf8(&buf[range.0..range.1]).expect("range was validated as UTF-8")
+/// `buf[range]` as text, or the offset of its first invalid UTF-8 byte
+/// (`base` is the stream offset of `buf[0]`).
+fn str_in(buf: &[u8], base: u64, range: (usize, usize)) -> SaxResult<&str> {
+    std::str::from_utf8(&buf[range.0..range.1]).map_err(|e| SaxError::InvalidUtf8 {
+        offset: base + (range.0 + e.valid_up_to()) as u64,
+    })
 }
 
 /// Largest prefix length of `s` that neither splits a UTF-8 character nor

@@ -261,3 +261,39 @@ fn every_single_byte_substitution_drains_without_panicking() {
         "{errors} errors"
     );
 }
+
+#[test]
+fn invalid_utf8_in_pi_data_is_a_typed_error() {
+    // The offset is the first bad byte of the data, whole or fed byte by
+    // byte, delivered or skimmed.
+    let xml = b"<r><?pi \xff\xfe?></r>";
+    assert!(matches!(
+        drain(xml),
+        Err(SaxError::InvalidUtf8 { offset: 8 })
+    ));
+    let mut feed = FeedReader::new();
+    let mut verdict = None;
+    for &byte in xml.iter() {
+        feed.feed(&[byte]);
+        loop {
+            match feed.next_event() {
+                Ok(FeedEvent::Event(_)) => {}
+                Ok(_) => break,
+                Err(e) => {
+                    verdict.get_or_insert(e);
+                    break;
+                }
+            }
+        }
+    }
+    assert!(matches!(verdict, Some(SaxError::InvalidUtf8 { offset: 8 })));
+    // Every bad byte anywhere in a PI is an error, never a panic.
+    let pi = b"<r><?pi data?></r>";
+    for at in 5..pi.len() - 6 {
+        for bad in [0x80u8, 0xFF, 0xC3] {
+            let mut doc = pi.to_vec();
+            doc[at] = bad;
+            assert!(drain(&doc).is_err(), "byte {bad:#x} at {at}");
+        }
+    }
+}

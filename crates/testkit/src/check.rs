@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use twigm::engine::{run_engine, StreamEngine};
+use twigm::engine::{drive, run_engine, StreamEngine, Telemetry};
 use twigm::fragments::FragmentCollector;
 use twigm::{BranchM, Engine, EngineStats, MultiTwigM, PathM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
@@ -195,6 +195,49 @@ fn check_fragment_output(
     }
 }
 
+/// Checks that the reader's projection is invisible: with projection
+/// switched off the auto-selected engine decides the same ids in the
+/// same order, and the projected run's telemetry accounts for the whole
+/// document — its events plus the skimmed ones are the full parse's,
+/// with the same bytes and recursion depth.
+fn check_projection(xml: &[u8], query: &Path, out: &mut Vec<Violation>) {
+    let run = |projection: bool| {
+        let mut engine = Engine::new(query).ok()?;
+        let mut reader = SaxReader::new(xml);
+        if !projection {
+            reader = reader.with_projection(None);
+        }
+        let mut observer = Telemetry::new(0, |_| {});
+        drive(&mut engine, &mut reader, &mut observer).ok()?;
+        Some((engine.take_results(), observer.finish(&reader)))
+    };
+    // A failed run is the plain engine check's to report.
+    let (Some((ids, on)), Some((full_ids, off))) = (run(true), run(false)) else {
+        return;
+    };
+    let mut violation = |kind, detail| {
+        out.push(Violation {
+            kind,
+            engine: "Engine (projected)",
+            query: query.to_string(),
+            detail,
+        })
+    };
+    if ids != full_ids {
+        violation(
+            ViolationKind::Divergence,
+            format!("projected ids {ids:?}, unprojected {full_ids:?}"),
+        );
+    }
+    let accounted = (on.events + on.skipped_events, on.bytes, on.max_depth);
+    if accounted != (off.events, off.bytes, off.max_depth) || off.skipped_events != 0 {
+        violation(
+            ViolationKind::Stats,
+            format!("projected telemetry {on:?} does not account for {off:?}"),
+        );
+    }
+}
+
 /// The counters fixed by the TwigM transitions alone, independent of
 /// the owner's event dispatch.
 fn core_counters(s: &EngineStats) -> [(&'static str, u64); 7] {
@@ -314,6 +357,7 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
     if let Ok(e) = Engine::new(query) {
         check_fragments(e, xml, query, &mut out);
     }
+    check_projection(xml, query, &mut out);
     if let Ok(e) = NaiveEnum::new(query) {
         // NaiveEnum keeps one entry per (element, parent-match) pair, so
         // it claims no bound (machine_size is None) — divergence only.

@@ -293,6 +293,8 @@ pub fn validate_stats(text: &str) -> Result<(), String> {
     }
     for key in [
         "bytes",
+        "skipped_events",
+        "skipped_bytes",
         "machine_size",
         "max_depth",
         "qr_bound",
@@ -354,6 +356,13 @@ pub fn validate_stats(text: &str) -> Result<(), String> {
     }
     if v["pops"] > v["pushes"] {
         return Err("more pops than pushes".into());
+    }
+    // Skimmed content is part of the input the run consumed.
+    let bytes = opt_u64_field(&doc, "bytes")?;
+    if let (Some(bytes), Some(skipped)) = (bytes, opt_u64_field(&doc, "skipped_bytes")?) {
+        if skipped > bytes {
+            return Err(format!("skipped_bytes {skipped} exceed bytes {bytes}"));
+        }
     }
     let q = opt_u64_field(&doc, "machine_size")?;
     let r = opt_u64_field(&doc, "max_depth")?;
@@ -524,7 +533,8 @@ mod tests {
     fn stats_fixture() -> String {
         concat!(
             r#"{"schema":"twigm-stats-v1","engine":"twig","duration_secs":0.01,"#,
-            r#""bytes":100,"events":10,"events_per_sec":1000.0,"bytes_per_sec":10000.0,"#,
+            r#""bytes":100,"events":10,"skipped_events":6,"skipped_bytes":40,"#,
+            r#""events_per_sec":1000.0,"bytes_per_sec":10000.0,"#,
             r#""start_events":4,"end_events":4,"qualification_probes":5,"pushes":3,"#,
             r#""pops":3,"upload_probes":2,"candidates_merged":1,"peak_entries":2,"#,
             r#""peak_candidates":1,"results":1,"tuples_materialized":0,"work":13,"#,
@@ -550,6 +560,11 @@ mod tests {
         // Missing field.
         let bad = stats_fixture().replace(r#""pushes":3,"#, "");
         assert!(validate_stats(&bad).unwrap_err().contains("pushes"));
+        let bad = stats_fixture().replace(r#""skipped_events":6,"#, "");
+        assert!(validate_stats(&bad).unwrap_err().contains("skipped_events"));
+        // More content skimmed than the input held.
+        let bad = stats_fixture().replace(r#""skipped_bytes":40"#, r#""skipped_bytes":101"#);
+        assert!(validate_stats(&bad).unwrap_err().contains("skipped_bytes"));
         // Wrong schema.
         let bad = stats_fixture().replace("twigm-stats-v1", "twigm-stats-v0");
         assert!(validate_stats(&bad).is_err());

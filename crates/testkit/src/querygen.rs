@@ -29,6 +29,10 @@ pub struct QueryConfig {
     pub wildcard_prob: f64,
     /// Probability of `//` instead of `/` per step.
     pub descendant_prob: f64,
+    /// Probability of a *rooted child path*: every top-level step takes
+    /// the child axis, so the query anchors at the document root and the
+    /// reader's projection can skim the subtrees off its path.
+    pub rooted_prob: f64,
     /// How many of [`TAGS`] name tests draw from (should match the
     /// document generator's alphabet so queries actually hit).
     pub tag_alphabet: usize,
@@ -42,6 +46,7 @@ impl Default for QueryConfig {
             max_preds: 2,
             wildcard_prob: 0.15,
             descendant_prob: 0.5,
+            rooted_prob: 0.25,
             tag_alphabet: 4,
         }
     }
@@ -49,10 +54,15 @@ impl Default for QueryConfig {
 
 /// Generates one query from the seed stream.
 pub fn generate_query(rng: &mut SplitMix64, cfg: &QueryConfig) -> Path {
+    let rooted = rng.gen_bool(cfg.rooted_prob);
     let count = rng.range_usize(1, cfg.max_steps.max(1));
     let mut steps = Vec::with_capacity(count);
     for _ in 0..count {
-        steps.push(gen_step(rng, cfg, cfg.max_pred_depth, true));
+        let mut step = gen_step(rng, cfg, cfg.max_pred_depth, true);
+        if rooted {
+            step.axis = Axis::Child;
+        }
+        steps.push(step);
     }
     // A trailing `/@attr` selector, occasionally — only after a
     // child-axis hop per the grammar (`//a/@id`, never `//a//@id`).
@@ -235,6 +245,20 @@ mod tests {
             "coverage gap: desc={desc} wild={wild} preds={preds} pos={pos} \
              count={cnt} strfn={strf} not={neg}"
         );
+    }
+
+    #[test]
+    fn rooted_child_paths_are_generated() {
+        let mut rng = SplitMix64::seed_from_u64(13);
+        let cfg = QueryConfig::default();
+        let rooted = (0..400)
+            .filter(|_| {
+                let q = generate_query(&mut rng, &cfg);
+                q.steps.iter().all(|s| s.axis == Axis::Child)
+            })
+            .count();
+        // A quarter are rooted by construction, and some others by luck.
+        assert!((100..250).contains(&rooted), "{rooted} of 400 rooted");
     }
 
     #[test]

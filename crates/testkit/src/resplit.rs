@@ -82,11 +82,13 @@ pub fn run_engine_chunked<E: StreamEngine>(
 }
 
 /// Runs `engine` over `xml` packed into deliver-all [`EventBatch`]es and
-/// replayed, as the pipelined drivers deliver it. With `relookup` off
-/// the batches are produced under the engine's own table and applied
-/// with [`StreamEngine::apply_batch`]. With it on they are produced under
-/// a table that numbers the names differently, and each name is looked
-/// up again in the engine's table, as the sharded workers do.
+/// replayed, as the pipelined drivers deliver it: the producer's reader
+/// skims under the engine's projection, and no symbol prefilter drops
+/// events. With `relookup` off the batches are produced under the
+/// engine's own table and applied with [`StreamEngine::apply_batch`].
+/// With it on they are produced under a table that numbers the names
+/// differently, and each name is looked up again in the engine's table,
+/// as the sharded workers do.
 pub fn run_engine_batched<E: StreamEngine>(
     mut engine: E,
     xml: &[u8],
@@ -103,7 +105,9 @@ pub fn run_engine_batched<E: StreamEngine>(
     } else {
         own.clone()
     };
-    let mut producer = BatchProducer::new(SaxReader::new(xml), BatchPlan::deliver_all(plan_table));
+    let projection = engine.projection().map(|p| p.remap(&own, &plan_table));
+    let reader = SaxReader::new(xml).with_projection(projection);
+    let mut producer = BatchProducer::new(reader, BatchPlan::deliver_all(plan_table));
     let mut batch = EventBatch::new();
     while producer.next_batch(&mut batch, DEFAULT_BATCH_EVENTS)? {
         if relookup {

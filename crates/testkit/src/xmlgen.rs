@@ -11,8 +11,14 @@
 //!
 //! Generated text never contains newlines, so a whole document fits one
 //! line of a corpus `.case` file.
+//!
+//! [`malform`] breaks a generated document in one of the ways a reader
+//! must reject — the input of the same-verdict oracle: every engine,
+//! driver, chunk split and projection must fail it with the same error
+//! at the same offset.
 
 use twigm_datagen::SplitMix64;
+use twigm_sax::{Event, SaxReader};
 
 /// The tag alphabet documents and queries draw from. Single letters keep
 /// clear of the XPath keywords (`and`, `or`, `not`, `count`, ...).
@@ -199,10 +205,141 @@ fn text_run(rng: &mut SplitMix64, cfg: &DocConfig, out: &mut Vec<u8>) {
     }
 }
 
+/// A way to break a well-formed document. Truncation, the remaining
+/// break, needs no mutator: every prefix of a document is one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Malformation {
+    /// An unknown entity reference at the start of an element's content.
+    BadEntity,
+    /// A character reference to a surrogate code point.
+    BadCharRef,
+    /// An end tag that names another element.
+    MismatchedEndTag,
+    /// A start tag that carries one attribute twice.
+    DuplicateAttribute,
+    /// A byte that is not UTF-8 at the start of an element's content.
+    InvalidUtf8,
+}
+
+/// Every [`Malformation`].
+pub const MALFORMATIONS: [Malformation; 5] = [
+    Malformation::BadEntity,
+    Malformation::BadCharRef,
+    Malformation::MismatchedEndTag,
+    Malformation::DuplicateAttribute,
+    Malformation::InvalidUtf8,
+];
+
+/// One element of a generated document, as byte positions.
+struct Element {
+    /// Just past the tag name in the start tag.
+    name_end: usize,
+    /// The content `(start, end)`: just past the start tag, and the `<`
+    /// of the end tag. `None` for an empty-element tag.
+    content: Option<(usize, usize)>,
+}
+
+/// The elements of a well-formed generated document, in document
+/// order. Relies on the generator's shapes: attribute values hold no
+/// `>`, and end tags are written `</name>`.
+fn elements(xml: &[u8]) -> Vec<Element> {
+    let mut reader = SaxReader::from_bytes(xml);
+    let mut out = Vec::new();
+    let mut open = Vec::new();
+    while let Some(event) = reader.next_event().expect("a well-formed document") {
+        match event {
+            Event::Start(tag) => {
+                let start = tag.offset() as usize;
+                let gt = start
+                    + xml[start..]
+                        .iter()
+                        .position(|&b| b == b'>')
+                        .expect("tag end");
+                let empty = xml[gt - 1] == b'/';
+                open.push(out.len());
+                out.push(Element {
+                    name_end: start + 1 + tag.name().len(),
+                    content: (!empty).then_some((gt + 1, 0)),
+                });
+            }
+            Event::End(tag) => {
+                let len = tag.name().len();
+                let i = open.pop().expect("balanced");
+                if let Some(content) = &mut out[i].content {
+                    content.1 = reader.offset() as usize - len - 3;
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Breaks the well-formed generated document `xml` by `how`, at an
+/// element the seed stream picks — often one deep inside a subtree a
+/// rooted query's projection skims. A document whose every element is
+/// empty gets a duplicate attribute instead of a content break.
+pub fn malform(rng: &mut SplitMix64, xml: &[u8], how: Malformation) -> Vec<u8> {
+    let elements = elements(xml);
+    let with_content: Vec<(usize, usize)> = elements.iter().filter_map(|e| e.content).collect();
+    let how = if with_content.is_empty() {
+        Malformation::DuplicateAttribute
+    } else {
+        how
+    };
+    let content = with_content
+        .get(rng.index(with_content.len().max(1)))
+        .copied()
+        .unwrap_or_default();
+    let (at, cut, insert): (usize, usize, &[u8]) = match how {
+        Malformation::BadEntity => (content.0, 0, b"&bogus;"),
+        Malformation::BadCharRef => (content.0, 0, b"&#xD800;"),
+        Malformation::InvalidUtf8 => (content.0, 0, b"\xFF"),
+        Malformation::MismatchedEndTag => {
+            let name = xml[content.1 + 2..].iter().position(|&b| b == b'>');
+            (content.1 + 2, name.expect("end tag"), b"zz")
+        }
+        Malformation::DuplicateAttribute => {
+            let element = &elements[rng.index(elements.len())];
+            (element.name_end, 0, br#" w="1" w="2""#)
+        }
+    };
+    let mut out = Vec::with_capacity(xml.len() + insert.len());
+    out.extend_from_slice(&xml[..at]);
+    out.extend_from_slice(insert);
+    out.extend_from_slice(&xml[at + cut..]);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use twigm_baselines::inmem::Document;
+
+    #[test]
+    fn every_malformation_breaks_the_document() {
+        let mut rng = SplitMix64::seed_from_u64(3);
+        let cfg = DocConfig::default();
+        for _ in 0..100 {
+            let xml = generate_doc(&mut rng, &cfg);
+            for how in MALFORMATIONS {
+                let bad = malform(&mut rng, &xml, how);
+                let mut reader = SaxReader::from_bytes(&bad);
+                let verdict = loop {
+                    match reader.next_event() {
+                        Ok(Some(_)) => {}
+                        Ok(None) => break None,
+                        Err(e) => break Some(e),
+                    }
+                };
+                assert!(
+                    verdict.is_some(),
+                    "{how:?} left a well-formed document: {}",
+                    String::from_utf8_lossy(&bad)
+                );
+            }
+        }
+    }
 
     #[test]
     fn generated_documents_are_well_formed() {

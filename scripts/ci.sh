@@ -84,6 +84,28 @@ if [ "$OBS_SMOKE" != 0 ]; then
         --scale "${OBS_SMOKE_SCALE:-0.05}" --repeats 9
 fi
 
+# Projection smoke: on a seeded Protein document (the Figure-5
+# generator, seed 42), Protein Q1's child path lets the reader skim the
+# subtrees no query node can reach. The skimmed run must print the DOM
+# oracle's ids and report skimmed events in a valid stats report, and a
+# `//`-rooted query, which compiles to no projection, must skim none.
+echo "==> projection smoke: skimmed Q1 agrees with the DOM oracle"
+cargo build --release -p twigm-cli -p twigm-bench -p twigm-testkit
+target/release/fig5_datasets --scale 0.005 > /dev/null
+protein=target/twigm-datasets/protein-393216.xml
+q1=/ProteinDatabase/ProteinEntry/protein/name
+proj_tmp="$(mktemp -d)"
+target/release/twigm --stats=json "$q1" "$protein" \
+    > "$proj_tmp/ids.txt" 2> "$proj_tmp/stats.json"
+target/release/twigm --engine dom "$q1" "$protein" > "$proj_tmp/dom.txt"
+cmp "$proj_tmp/ids.txt" "$proj_tmp/dom.txt"
+target/release/testkit-fuzz --validate-stats "$proj_tmp/stats.json"
+grep -Eq '"skipped_events":[1-9]' "$proj_tmp/stats.json"
+target/release/twigm --stats=json -c //ProteinEntry/protein/name "$protein" \
+    > /dev/null 2> "$proj_tmp/rooted_desc.json"
+grep -q '"skipped_events":0,' "$proj_tmp/rooted_desc.json"
+rm -rf "$proj_tmp"
+
 # Scanner smoke: the SWAR/SSE2 scan paths must agree with the scalar
 # reference on real Figure-5 data (the ablation asserts this before
 # timing) and hold their perf claim (text+terminator microbench >= 2x,
