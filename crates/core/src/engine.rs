@@ -675,10 +675,11 @@ pub struct StreamProgress {
     pub results: u64,
 }
 
-/// The telemetry driver observer: accounts for bytes, events, recursion
-/// depth and time-to-first-result, and calls `progress` after every
-/// `progress_every` events (never when it is 0) — e.g. for stderr
-/// throughput reporting.
+/// The telemetry driver observer: counts events and time-to-first-result,
+/// and calls `progress` after every `progress_every` events (never when
+/// it is 0) — e.g. for stderr throughput reporting. Bytes, skimmed
+/// content and the recursion depth come from the source, which counts
+/// them anyway, when [`Telemetry::finish`] closes the account.
 ///
 /// Result arrival is detected through the engine's `stats().results`
 /// counter (every engine bumps it at the emitting transition), so the
@@ -708,7 +709,7 @@ impl<F: FnMut(&StreamProgress)> Telemetry<F> {
             bytes: src.offset(),
             skipped_events: skimmed.events,
             skipped_bytes: skimmed.bytes,
-            max_depth: self.telemetry.max_depth.max(skimmed.max_depth),
+            max_depth: skimmed.max_depth,
             ..self.telemetry
         }
     }
@@ -719,12 +720,11 @@ impl<F: FnMut(&StreamProgress)> DriverObserver for Telemetry<F> {
     fn after_event<E: StreamEngine + ?Sized>(
         &mut self,
         engine: &mut E,
-        depth: u32,
+        _: u32,
         offset: u64,
     ) -> ControlFlow<()> {
         let t = &mut self.telemetry;
         t.events += 1;
-        t.max_depth = t.max_depth.max(depth);
         if t.first_result_event.is_none() && engine.stats().results > 0 {
             t.first_result_event = Some(t.events);
             t.first_result_byte = Some(offset);

@@ -300,7 +300,8 @@ impl<R: Read> SaxReader<R> {
     ///
     /// A projecting driver calls this after every start event; without
     /// a projection it does nothing.
-    #[inline]
+    // Out of line, to keep the drivers' event loops small.
+    #[inline(never)]
     pub fn project(&mut self, sym: Symbol) {
         // An empty element has no content to skim.
         if self.pending_empty_end {
@@ -471,6 +472,9 @@ impl<R: Read> SaxReader<R> {
     /// report, or a DOCTYPE or the end of input for `next_event` to
     /// handle as it always does. An error — including a source that
     /// would block — leaves the skim where it was, to resume.
+    // Out of line, to keep `next_event` small: it runs once per skimmed
+    // element.
+    #[inline(never)]
     fn skim(&mut self) -> SaxResult<Scanned> {
         loop {
             if self.open.depth() > self.skim_depth {
@@ -542,6 +546,9 @@ impl<R: Read> SaxReader<R> {
     // Scanner: computes the next markup item as ranges into `buf`.
     // ------------------------------------------------------------------
 
+    // Inlined into both callers, `next_event` and the skim: left as a
+    // call, it costs every event.
+    #[inline(always)]
     fn scan_next(&mut self) -> SaxResult<Scanned> {
         if self.available() == 0 {
             self.fill()?;
