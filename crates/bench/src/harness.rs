@@ -54,7 +54,6 @@ impl DriverObserver for Deadline {
     fn after_event<E: StreamEngine + ?Sized>(
         &mut self,
         engine: &mut E,
-        _depth: u32,
         _offset: u64,
     ) -> ControlFlow<()> {
         self.events += 1;

@@ -509,13 +509,11 @@ impl EventSource for FeedReader {
 /// and harnesses add their own (a deadline check, say).
 pub trait DriverObserver {
     /// Runs after every event the driver pulled, comments and processing
-    /// instructions included. `depth` is the element depth after the
-    /// event and `offset` the byte offset just past it. `Break` stops
-    /// the drive.
+    /// instructions included. `offset` is the byte offset just past the
+    /// event. `Break` stops the drive.
     fn after_event<E: StreamEngine + ?Sized>(
         &mut self,
         engine: &mut E,
-        depth: u32,
         offset: u64,
     ) -> ControlFlow<()>;
 }
@@ -526,12 +524,7 @@ pub struct NoTelemetry;
 
 impl DriverObserver for NoTelemetry {
     #[inline(always)]
-    fn after_event<E: StreamEngine + ?Sized>(
-        &mut self,
-        _: &mut E,
-        _: u32,
-        _: u64,
-    ) -> ControlFlow<()> {
+    fn after_event<E: StreamEngine + ?Sized>(&mut self, _: &mut E, _: u64) -> ControlFlow<()> {
         ControlFlow::Continue(())
     }
 }
@@ -588,7 +581,7 @@ where
             Event::Text(text) => engine.text(&text, depth),
             Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
         }
-        if observer.after_event(engine, depth, src.offset()).is_break() {
+        if observer.after_event(engine, src.offset()).is_break() {
             break;
         }
     }
@@ -720,7 +713,6 @@ impl<F: FnMut(&StreamProgress)> DriverObserver for Telemetry<F> {
     fn after_event<E: StreamEngine + ?Sized>(
         &mut self,
         engine: &mut E,
-        _: u32,
         offset: u64,
     ) -> ControlFlow<()> {
         let t = &mut self.telemetry;
