@@ -87,7 +87,7 @@ impl Projection {
     /// Adds an anchored step at `level` (the root element is level 1)
     /// under `parent`, which must sit at a smaller level. `test` is the
     /// tag symbol, `None` for `*`. Returns `None` once the projection
-    /// holds [`MAX_STEPS`] steps: the caller then compiles no projection.
+    /// holds 63 steps: the caller then compiles no projection.
     pub fn add_step(
         &mut self,
         parent: StepRef,
@@ -135,7 +135,7 @@ impl Projection {
 
     /// The union of `self` and `other` over the same symbol table: an
     /// element is live when it is live for either. `None` when the union
-    /// exceeds [`MAX_STEPS`] steps.
+    /// exceeds 63 steps.
     pub fn union(&self, other: &Projection) -> Option<Projection> {
         if self.len + other.len > MAX_STEPS {
             return None;
