@@ -217,7 +217,9 @@ pub enum Malformation {
     MismatchedEndTag,
     /// A start tag that carries one attribute twice.
     DuplicateAttribute,
-    /// A byte that is not UTF-8 at the start of an element's content.
+    /// A byte that is not UTF-8, in text at the start of an element's
+    /// content, in a new attribute value, or in a new comment or
+    /// processing instruction at the start of the content.
     InvalidUtf8,
 }
 
@@ -294,7 +296,15 @@ pub fn malform(rng: &mut SplitMix64, xml: &[u8], how: Malformation) -> Vec<u8> {
     let (at, cut, insert): (usize, usize, &[u8]) = match how {
         Malformation::BadEntity => (content.0, 0, b"&bogus;"),
         Malformation::BadCharRef => (content.0, 0, b"&#xD800;"),
-        Malformation::InvalidUtf8 => (content.0, 0, b"\xFF"),
+        Malformation::InvalidUtf8 => match rng.index(4) {
+            0 => (content.0, 0, b"\xFF"),
+            1 => {
+                let element = &elements[rng.index(elements.len())];
+                (element.name_end, 0, b" v='\xFF'")
+            }
+            2 => (content.0, 0, b"<!--\xFF-->"),
+            _ => (content.0, 0, b"<?pi \xFF?>"),
+        },
         Malformation::MismatchedEndTag => {
             let name = xml[content.1 + 2..].iter().position(|&b| b == b'>');
             (content.1 + 2, name.expect("end tag"), b"zz")
