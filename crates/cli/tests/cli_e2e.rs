@@ -434,3 +434,97 @@ fn protein_projection_skims_exactly_the_unreachable_events() {
     assert_eq!(field(json, "skipped_events"), 0);
     assert_eq!(field(json, "events"), 21_501);
 }
+
+/// `--threads` must not show in the output: every machine engine and
+/// both output modes it serves print exactly what the serial run
+/// prints, with 2 and 4 threads, single queries and unions alike.
+#[test]
+fn threads_print_exactly_what_the_serial_run_prints() {
+    let mut xml = String::from("<r>");
+    for i in 0..40 {
+        xml.push_str(&format!(
+            "<a k=\"{i}\"><x><b>deep</b></x><b>t{i}</b><c/></a><junk><c/></junk>"
+        ));
+    }
+    xml.push_str("</r>");
+    let cases: [(&str, &[&str]); 6] = [
+        ("//a/b", &["auto", "twig", "path"]),
+        ("/r/a[c]/b", &["auto", "twig", "branch"]),
+        ("//a[b = 't3']/c", &["auto", "twig"]),
+        ("//a[@k >= 30]", &["auto", "twig"]),
+        ("//a/b | //junk/c", &["auto", "twig"]),
+        ("/r/junk/c | /r/a[x]/b", &["auto"]),
+    ];
+    for (query, engines) in cases {
+        for engine in engines {
+            for output in ["--ids", "-c"] {
+                let serial = run_with_stdin(&["--engine", engine, output, query], xml.as_bytes());
+                assert_eq!(serial.2, 0, "{query} on {engine}: {}", serial.1);
+                for threads in ["2", "4"] {
+                    let args = ["--threads", threads, "--engine", engine, output, query];
+                    assert_eq!(run_with_stdin(&args, xml.as_bytes()), serial, "{args:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A threaded run's report carries the stream counts of the serial run
+/// on the same document, taken from the producer's reader: events,
+/// bytes, the recursion depth and the `|Q|·R` bound, the skimmed
+/// events, and the results. A `//`-rooted union skims nothing; a
+/// child-rooted one skims the `<z>` subtree.
+#[test]
+fn threaded_stats_report_the_serial_stream_counts() {
+    let xml = b"<r><a>x<b/><c/></a><a><b/>y</a><z><q/></z></r>";
+    let field = |json: &str, key: &str| {
+        let report = twigm_testkit::obsjson::parse(json).unwrap();
+        report.get(key).and_then(|v| v.as_u64())
+    };
+    let keys = [
+        "events",
+        "bytes",
+        "max_depth",
+        "qr_bound",
+        "skipped_events",
+        "results",
+    ];
+    for query in ["//a[b] | //c", "/r/a[b] | /r/a/c", "//a[b]", "/r/a/c"] {
+        let report = |threads: &str| {
+            let args = ["--threads", threads, "--stats=json", "-c", query];
+            let (_, err, code) = run_with_stdin(&args, xml);
+            assert_eq!(code, 0, "{args:?}: {err}");
+            let json = err
+                .lines()
+                .find(|l| l.contains("twigm-stats-v1"))
+                .unwrap_or_else(|| panic!("no stats json for {args:?}: {err}"))
+                .to_string();
+            twigm_testkit::obsjson::validate_stats(&json).expect("valid twigm-stats-v1");
+            json
+        };
+        let serial = report("1");
+        assert!(serial.contains(r#""pipeline":null"#), "{serial}");
+        if query == "//a[b] | //c" {
+            for (key, value) in [
+                ("events", 18),
+                ("bytes", 46),
+                ("max_depth", 3),
+                ("qr_bound", 9),
+            ] {
+                assert_eq!(field(&serial, key), Some(value), "{key} in {serial}");
+            }
+        }
+        for threads in ["2", "3"] {
+            let threaded = report(threads);
+            assert!(threaded.contains(r#""pipeline":{"#), "{threaded}");
+            for key in keys {
+                assert_eq!(
+                    field(&threaded, key),
+                    field(&serial, key),
+                    "`{query}` --threads {threads}: {key}\n{threaded}\n{serial}"
+                );
+            }
+            assert!(threaded.contains(r#""time_to_first_result_secs":null"#));
+        }
+    }
+}

@@ -106,6 +106,9 @@ pub struct PipelineStats {
     pub events_skipped: u64,
     /// Bytes of element content the producer's reader skimmed.
     pub bytes_skipped: u64,
+    /// Deepest element nesting the producer's reader saw, skimmed
+    /// content included — the recursion depth `R` of the document.
+    pub max_depth: u32,
 }
 
 /// Builds the producer's delivery plan for a set of consumers, and the
@@ -217,6 +220,7 @@ fn produce<R: Read>(
     stats.bytes = producer.bytes_consumed();
     stats.events_skipped = producer.events_skipped();
     stats.bytes_skipped = producer.bytes_skipped();
+    stats.max_depth = producer.max_depth();
     // Dropping `txs` closes every consumer channel.
     Ok(stats)
 }
@@ -358,7 +362,8 @@ pub struct ShardedOutcome {
     /// same query set.
     pub ids: Vec<NodeId>,
     /// Engine counters merged across shards (sums and maxes, as in
-    /// [`EngineStats::merge`]).
+    /// [`EngineStats::merge`]), except `start_events` and `end_events`:
+    /// every shard sees the same delivered events, counted once.
     pub stats: EngineStats,
     /// Total machine-node count |Q| summed over every shard.
     pub machine_size: usize,
@@ -385,6 +390,9 @@ pub fn run_multi_sharded<R: Read + Send>(
     let mut first = shards.next().expect("sharded run needs at least one shard");
     let (rest, pipeline) = run_batched(&mut first, shards.collect(), src, opts)?;
 
+    // Every shard is fed the same batches, so the event counts are
+    // counted once; the work and results of the shards add up.
+    let events = (first.stats().start_events, first.stats().end_events);
     let mut stats = EngineStats::default();
     let mut machine_size = 0usize;
     let mut ids = Vec::new();
@@ -393,6 +401,7 @@ pub fn run_multi_sharded<R: Read + Send>(
         machine_size += engine.machine_size();
         ids.extend(StreamEngine::take_results(&mut engine));
     }
+    (stats.start_events, stats.end_events) = events;
     ids.sort_unstable();
     ids.dedup();
     Ok(ShardedOutcome {
@@ -548,6 +557,10 @@ mod tests {
                 shard_count.min(branches.len()) + 1
             );
             assert_eq!(outcome.pipeline.bytes, xml.len() as u64);
+            assert_eq!(outcome.pipeline.max_depth, 4);
+            // Each shard is fed every delivered event: counted once.
+            let delivered = outcome.pipeline.events_delivered;
+            assert!(outcome.stats.events() <= delivered, "{outcome:?}");
         }
     }
 

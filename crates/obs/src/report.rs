@@ -44,17 +44,27 @@ impl StatsReport {
 
     /// Input bytes per wall-clock second, when byte accounting exists.
     pub fn bytes_per_sec(&self) -> Option<f64> {
-        self.telemetry
-            .as_ref()
-            .map(|t| rate(t.bytes, self.duration))
+        self.bytes().map(|b| rate(b, self.duration))
     }
 
-    /// Total SAX events: the reader's count when available (includes
-    /// text/comment/PI events), else the engine's δs + δe count.
+    /// Bytes consumed from the input: from the driver's telemetry, else
+    /// from the pipeline's producer.
+    pub fn bytes(&self) -> Option<u64> {
+        match (&self.telemetry, &self.pipeline) {
+            (Some(t), _) => Some(t.bytes),
+            (None, Some(p)) => Some(p.bytes),
+            (None, None) => None,
+        }
+    }
+
+    /// Total SAX events the reader delivered (tags, text, comments,
+    /// PIs): from the driver's telemetry, else from the pipeline's
+    /// producer, else the engine's δs + δe count.
     pub fn events(&self) -> u64 {
-        match &self.telemetry {
-            Some(t) => t.events,
-            None => self.stats.events(),
+        match (&self.telemetry, &self.pipeline) {
+            (Some(t), _) => t.events,
+            (None, Some(p)) => p.events_scanned,
+            (None, None) => self.stats.events(),
         }
     }
 
@@ -68,11 +78,20 @@ impl StatsReport {
         }
     }
 
+    /// The document's recursion depth `R`: from the driver's telemetry,
+    /// else from the pipeline's producer.
+    pub fn max_depth(&self) -> Option<u32> {
+        match (&self.telemetry, &self.pipeline) {
+            (Some(t), _) => Some(t.max_depth),
+            (None, Some(p)) => Some(p.max_depth),
+            (None, None) => None,
+        }
+    }
+
     /// The paper's `|Q| · R` memory bound, when both factors are known.
     pub fn qr_bound(&self) -> Option<u64> {
         let q = self.machine_size? as u64;
-        let r = u64::from(self.telemetry.as_ref()?.max_depth);
-        Some(q * r)
+        Some(q * u64::from(self.max_depth()?))
     }
 
     /// Serializes as one JSON object, schema `twigm-stats-v1` (see
@@ -83,7 +102,7 @@ impl StatsReport {
         o.str("schema", "twigm-stats-v1")
             .str("engine", &self.engine)
             .f64("duration_secs", self.duration.as_secs_f64())
-            .opt_u64("bytes", t.map(|t| t.bytes))
+            .opt_u64("bytes", self.bytes())
             .u64("events", self.events())
             .opt_u64("skipped_events", self.skipped().map(|s| s.0))
             .opt_u64("skipped_bytes", self.skipped().map(|s| s.1))
@@ -106,7 +125,7 @@ impl StatsReport {
             .u64("tuples_materialized", s.tuples_materialized)
             .u64("work", s.work())
             .opt_u64("machine_size", self.machine_size.map(|q| q as u64))
-            .opt_u64("max_depth", t.map(|t| u64::from(t.max_depth)))
+            .opt_u64("max_depth", self.max_depth().map(u64::from))
             .opt_u64("qr_bound", self.qr_bound());
         match self.time_to_first_result {
             Some(d) => o.f64("time_to_first_result_secs", d.as_secs_f64()),
@@ -152,11 +171,11 @@ impl StatsReport {
         };
         line("engine", engine);
         line("duration", format_duration(self.duration));
-        let input = match &self.telemetry {
-            Some(t) => format!(
+        let input = match self.bytes() {
+            Some(bytes) => format!(
                 "{} in {} events ({}/s, {} events/s)",
-                format_bytes(t.bytes),
-                t.events,
+                format_bytes(bytes),
+                self.events(),
                 format_bytes(self.bytes_per_sec().unwrap_or(0.0) as u64),
                 format_count(self.events_per_sec() as u64),
             ),
@@ -396,9 +415,16 @@ mod tests {
             bytes: 2048,
             events_skipped: 5,
             bytes_skipped: 64,
+            max_depth: 4,
         });
         let json = report.to_json();
         for needle in [
+            // Without telemetry the stream counts come from the producer.
+            r#""bytes":2048"#,
+            r#""events":10"#,
+            r#""bytes_per_sec":204800.0"#,
+            r#""max_depth":4"#,
+            r#""qr_bound":12"#,
             r#""pipeline":{"threads":2"#,
             r#""events_scanned":10"#,
             r#""events_delivered":8"#,
@@ -412,6 +438,8 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         let text = report.to_pretty();
+        assert!(text.contains("2.0 KB in 10 events"), "{text}");
+        assert!(text.contains("|Q|·R = 12"), "{text}");
         assert!(text.contains("8 of 10 event(s) delivered"), "{text}");
         assert!(text.contains("peak depth 2"), "{text}");
     }

@@ -307,6 +307,12 @@ impl<R: Read> BatchProducer<R> {
         self.reader.bytes_skipped()
     }
 
+    /// Deepest element nesting the reader saw so far, skimmed content
+    /// included.
+    pub fn max_depth(&self) -> u32 {
+        self.reader.max_depth()
+    }
+
     /// Clears `batch` and refills it with up to `max_events` delivered
     /// events. Returns `false` when the stream is exhausted *and* the
     /// batch carries nothing (no events, no accounting) — the loop

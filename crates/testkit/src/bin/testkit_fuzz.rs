@@ -11,6 +11,11 @@
 //! CLI's `--stats=json` report and `--trace` output) via
 //! [`twigm_testkit::obsjson`]; CI's obs-smoke stage uses them.
 //!
+//! One case in [`MALFORMED_EVERY`] is also broken by a seeded
+//! malformation, and every driver must fail it with the error an
+//! unprojected parse reports; a failure names the seed, the case index
+//! and the malformation (it is not shrunk).
+//!
 //! The library is wall-clock free; this binary checks the `--seconds`
 //! budget *between* cases only, so a given `(seed, case-index)` pair
 //! always produces the same verdict regardless of the time budget.
@@ -22,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use twigm_datagen::SplitMix64;
 use twigm_testkit::corpus::{format_case, parse_case};
-use twigm_testkit::runner::{replay_case, run_case, FuzzConfig};
+use twigm_testkit::runner::{malformed_case, replay_case, run_case, FuzzConfig, MALFORMED_EVERY};
 use twigm_testkit::shrink::{shrink, FailingCase};
 
 struct Args {
@@ -230,6 +235,17 @@ fn fuzz(args: &Args) -> ExitCode {
         let (xml, query, violations, case_checks) = run_case(case_seed, &cfg.doc, &cfg.query);
         ran += 1;
         checks += case_checks;
+        if index % MALFORMED_EVERY == 0 {
+            checks += 1;
+            if let (how, Some(v)) = malformed_case(case_seed, &xml, &query, &cfg.query) {
+                failures += 1;
+                eprintln!(
+                    "case {index} (seed {:#x}, sub-seed {case_seed:#x}) malformed by {how:?}, \
+                     query `{query}` FAILED:\n  {v}",
+                    args.seed
+                );
+            }
+        }
         if violations.is_empty() {
             continue;
         }

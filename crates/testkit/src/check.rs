@@ -5,11 +5,14 @@ use std::fmt;
 
 use twigm::engine::{drive, run_engine, StreamEngine, Telemetry};
 use twigm::fragments::FragmentCollector;
+use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, PipelineOptions};
 use twigm::{BranchM, Engine, EngineStats, MultiTwigM, PathM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::{NodeId, SaxReader};
+use twigm_sax::{NodeId, SaxError, SaxReader};
 use twigm_xpath::Path;
+
+use crate::resplit::{run_engine_chunked, split_points, SplitStrategy};
 
 /// Coarse classification of a failure, used to decide whether a shrink
 /// step preserved "the same bug".
@@ -34,6 +37,9 @@ pub enum ViolationKind {
     /// Generated XML or query text failed to parse (generator or
     /// parser/printer bug).
     Parse,
+    /// A driver ended a document with another verdict (error text or
+    /// success) than an unprojected parse of it.
+    Verdict,
 }
 
 impl fmt::Display for ViolationKind {
@@ -47,6 +53,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Stats => "stats",
             ViolationKind::Fragment => "fragment",
             ViolationKind::Parse => "parse",
+            ViolationKind::Verdict => "verdict",
         })
     }
 }
@@ -238,6 +245,68 @@ fn check_projection(xml: &[u8], query: &Path, out: &mut Vec<Violation>) {
     }
 }
 
+/// The terminal error of an unprojected parse of `xml`, as text, or
+/// `None` when `xml` is well-formed.
+pub fn reader_verdict(xml: &[u8]) -> Option<String> {
+    let mut reader = SaxReader::from_bytes(xml).with_projection(None);
+    loop {
+        match reader.next_event() {
+            Ok(Some(_)) => {}
+            Ok(None) => return None,
+            Err(e) => return Some(e.to_string()),
+        }
+    }
+}
+
+/// Checks that every projected delivery of `xml`, valid or not, ends
+/// with the verdict of an unprojected parse ([`reader_verdict`]): the
+/// same error text, or success. The deliveries are `query` on the
+/// serial driver, through a [`FragmentCollector`] and on the
+/// single-query pipeline; the union of `branches` in two shards; and
+/// `query` fed through `FeedReader` at each of `splits`. Returns the
+/// first delivery that disagrees.
+pub fn check_verdict(
+    xml: &[u8],
+    query: &Path,
+    branches: &[Path],
+    splits: &[SplitStrategy],
+) -> Option<Violation> {
+    // A query that does not compile is the differential battery's to
+    // report.
+    Engine::new(query).ok()?;
+    let compile = || Engine::new(query).expect("compiled above");
+    let expected = reader_verdict(xml);
+    let verdict = |result: Result<(), SaxError>| result.err().map(|e| e.to_string());
+    let opts = PipelineOptions::default();
+    let serial = run_engine(compile(), xml).map(|_| ());
+    let fragments = run_engine(FragmentCollector::new(compile()), xml).map(|_| ());
+    let pipelined = run_engine_pipelined(compile(), xml, &opts).map(|_| ());
+    let mut runs = vec![
+        ("Engine", String::new(), verdict(serial)),
+        ("FragmentCollector", String::new(), verdict(fragments)),
+        ("pipeline", String::new(), verdict(pipelined)),
+    ];
+    if let Ok(shards) = shard_queries(branches, 2) {
+        let union: Vec<String> = branches.iter().map(Path::to_string).collect();
+        let result = run_multi_sharded(shards, xml, &opts).map(|_| ());
+        let context = format!("`{}` in 2 shards: ", union.join(" | "));
+        runs.push(("sharded union", context, verdict(result)));
+    }
+    for &strategy in splits {
+        let cuts = split_points(xml, strategy);
+        let result = run_engine_chunked(compile(), xml, &cuts).map(|_| ());
+        runs.push(("FeedReader", format!("{strategy:?}: "), verdict(result)));
+    }
+    runs.into_iter()
+        .find(|(_, _, got)| *got != expected)
+        .map(|(engine, context, got)| Violation {
+            kind: ViolationKind::Verdict,
+            engine,
+            query: query.to_string(),
+            detail: format!("{context}expected {expected:?}, got {got:?}"),
+        })
+}
+
 /// The counters fixed by the TwigM transitions alone, independent of
 /// the owner's event dispatch.
 fn core_counters(s: &EngineStats) -> [(&'static str, u64); 7] {
@@ -392,6 +461,24 @@ mod tests {
         let doc = Document::parse_bytes(xml).unwrap();
         let query = parse("//a[b]").unwrap();
         assert!(check_case(&doc, xml, &query).is_empty());
+    }
+
+    #[test]
+    fn every_driver_reaches_the_reader_verdict() {
+        let query = parse("/r/a[b]").unwrap();
+        let branches = [query.clone(), parse("/r/c").unwrap()];
+        let splits = crate::resplit::STRATEGIES;
+        for xml in [
+            &b"<r><a><b/></a><c/></r>"[..],
+            b"<r><x>&bogus;</x><a><b/></a></r>",
+            b"<r><a><b></a></r>",
+            b"<r><a><b/>",
+        ] {
+            let verdict = check_verdict(xml, &query, &branches, &splits);
+            assert!(verdict.is_none(), "{verdict:?}");
+        }
+        assert_eq!(reader_verdict(b"<r/>"), None);
+        assert!(reader_verdict(b"<r>&bogus;</r>").is_some());
     }
 
     #[test]

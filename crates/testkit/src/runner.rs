@@ -7,13 +7,17 @@ use twigm_baselines::inmem::Document;
 use twigm_datagen::SplitMix64;
 use twigm_xpath::{parse, Path};
 
-use crate::check::{check_case, oracle_ids, Violation, ViolationKind};
+use crate::check::{check_case, check_verdict, oracle_ids, Violation, ViolationKind};
 use crate::corpus::Case;
 use crate::metamorphic::rewrites;
 use crate::querygen::{generate_query, QueryConfig};
 use crate::resplit::{run_engine_chunked, split_points, STRATEGIES};
 use crate::shrink::{shrink, FailingCase};
-use crate::xmlgen::{generate_doc, DocConfig};
+use crate::xmlgen::{generate_doc, malform, DocConfig, Malformation, MALFORMATIONS};
+
+/// One case in this many is also broken by a seeded malformation and
+/// run through [`check_verdict`].
+pub const MALFORMED_EVERY: usize = 4;
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -270,6 +274,39 @@ pub fn run_case(
     (xml, query, violations, checks)
 }
 
+/// Breaks case `case_seed`'s document (`xml`, with `query` its query)
+/// by a malformation its seed picks, and checks that every delivery of
+/// the broken document reaches the verdict of an unprojected parse:
+/// `query` on the serial, fragment, pipelined and `FeedReader` drivers
+/// (at one seeded chunk split), and `query` with a second generated
+/// branch as a 2-shard union. Returns the malformation and the first
+/// disagreement.
+pub fn malformed_case(
+    case_seed: u64,
+    xml: &[u8],
+    query: &Path,
+    query_cfg: &QueryConfig,
+) -> (Malformation, Option<Violation>) {
+    // A stream of its own, so the valid case's draws do not move.
+    let mut rng = SplitMix64::seed_from_u64(case_seed ^ 0xBAD_DA7A);
+    let how = MALFORMATIONS[rng.index(MALFORMATIONS.len())];
+    let bad = malform(&mut rng, xml, how);
+    // Union output is node ids, so neither branch keeps an `/@attr`.
+    let branches: Vec<Path> = [query.clone(), generate_query(&mut rng, query_cfg)]
+        .into_iter()
+        .map(|mut branch| {
+            branch.attr = None;
+            branch
+        })
+        .collect();
+    let split = STRATEGIES[rng.index(STRATEGIES.len())];
+    let violation = check_verdict(&bad, query, &branches, &[split]).map(|mut v| {
+        v.detail = format!("{how:?}: {}", v.detail);
+        v
+    });
+    (how, violation)
+}
+
 /// Runs the whole seeded fuzz loop.
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut master = SplitMix64::seed_from_u64(cfg.seed);
@@ -278,8 +315,15 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut checks = 0u64;
     for index in 0..cfg.cases {
         let case_seed = master.next_u64();
-        let (xml, query, violations, case_checks) = run_case(case_seed, &cfg.doc, &cfg.query);
+        let (xml, query, mut violations, case_checks) = run_case(case_seed, &cfg.doc, &cfg.query);
         checks += case_checks;
+        // Only the valid document's violations replay through the
+        // battery the shrinker runs.
+        let shrinkable = !violations.is_empty();
+        if index % MALFORMED_EVERY == 0 {
+            checks += 1;
+            violations.extend(malformed_case(case_seed, &xml, &query, &cfg.query).1);
+        }
 
         digest.write_u64(case_seed);
         digest.write(query.to_string().as_bytes());
@@ -292,7 +336,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         digest.write_u64(violations.len() as u64);
 
         if !violations.is_empty() {
-            let shrunk = if cfg.shrink {
+            let shrunk = if cfg.shrink && shrinkable {
                 let case = FailingCase {
                     xml,
                     query,

@@ -15,8 +15,9 @@ use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, Pi
 use twigm::{BranchM, Engine, MultiTwigM, PathM, TwigM};
 use twigm_datagen::SplitMix64;
 use twigm_sax::{Event, NodeId, SaxError, SaxReader};
+use twigm_testkit::check::{check_verdict, reader_verdict};
 use twigm_testkit::querygen::{generate_query, QueryConfig};
-use twigm_testkit::resplit::{run_engine_chunked, split_points, STRATEGIES};
+use twigm_testkit::resplit::{run_engine_chunked, split_points, SplitStrategy, STRATEGIES};
 use twigm_testkit::xmlgen::{generate_doc, malform, DocConfig, MALFORMATIONS};
 use twigm_xpath::{NameTest, Path, PredExpr, Value};
 
@@ -164,7 +165,7 @@ fn projection_is_invisible_to_every_engine_and_driver() {
                 let src = Chunked::new(&xml, &cuts);
                 let (got, _, _) = run_engine_pipelined(compile(), src, &opts).unwrap();
                 assert_eq!(got, expected, "{} pipelined, {strategy:?}", what("Engine"));
-                for shards in [1, 2] {
+                for shards in [1, 2, 4] {
                     let engines = shard_queries(&union, shards).unwrap();
                     let src = Chunked::new(&xml, &cuts);
                     let outcome = run_multi_sharded(engines, src, &opts).unwrap();
@@ -182,40 +183,13 @@ fn projection_is_invisible_to_every_engine_and_driver() {
     assert!(total_skimmed > 100, "only {total_skimmed} events skimmed");
 }
 
-/// The terminal error of an unprojected parse of `xml`, as text.
-fn reader_verdict(xml: &[u8]) -> Option<String> {
-    let mut reader = SaxReader::from_bytes(xml).with_projection(None);
-    loop {
-        match reader.next_event() {
-            Ok(Some(_)) => {}
-            Ok(None) => return None,
-            Err(e) => return Some(e.to_string()),
-        }
-    }
-}
-
-/// The error every projected delivery of `xml` under `query` (and the
-/// union `branches`) ends with, checked to be one and the same.
+/// Fails unless every projected delivery of `xml` under `query` (and
+/// the union `branches`) ends with the unprojected parse's verdict, at
+/// every chunk split when `splits` is set.
 fn assert_one_verdict(what: &str, xml: &[u8], query: &Path, branches: &[Path], splits: bool) {
-    let expected = reader_verdict(xml);
-    let verdict = |result: Result<(), SaxError>| result.err().map(|e| e.to_string());
-    let compile = || Engine::new(query).unwrap();
-    let serial = verdict(run_engine(compile(), xml).map(|_| ()));
-    assert_eq!(serial, expected, "{what}: serial");
-    let fragments = verdict(run_engine(FragmentCollector::new(compile()), xml).map(|_| ()));
-    assert_eq!(fragments, expected, "{what}: fragments");
-    let opts = PipelineOptions::default();
-    let piped = verdict(run_engine_pipelined(compile(), xml, &opts).map(|_| ()));
-    assert_eq!(piped, expected, "{what}: pipelined");
-    let engines = shard_queries(branches, 2).unwrap();
-    let sharded = verdict(run_multi_sharded(engines, xml, &opts).map(|_| ()));
-    assert_eq!(sharded, expected, "{what}: 2 shards");
-    if splits {
-        for strategy in STRATEGIES {
-            let cuts = split_points(xml, strategy);
-            let chunked = verdict(run_engine_chunked(compile(), xml, &cuts).map(|_| ()));
-            assert_eq!(chunked, expected, "{what}: FeedReader at {strategy:?}");
-        }
+    let strategies: &[SplitStrategy] = if splits { &STRATEGIES } else { &[] };
+    if let Some(violation) = check_verdict(xml, query, branches, strategies) {
+        panic!("{what}: {violation}");
     }
 }
 

@@ -62,7 +62,8 @@ target/release/ablation_dfa_blowup --scale 0.05 --repeats 1
 # Figure-2-style query, then schema-check the artifacts with the
 # testkit validators, and hold the observer layer to its zero-cost
 # claim (traced NoopObserver driver within 2% of the plain hot path,
-# min-of-repeats aggregated over the bench query corpus). Scale the
+# the median ratio of 720 adjacent plain/traced pairs over the bench
+# query corpus). Scale the
 # bench with OBS_SMOKE_SCALE; set OBS_SMOKE=0 to skip the stage.
 OBS_SMOKE="${OBS_SMOKE:-1}"
 if [ "$OBS_SMOKE" != 0 ]; then
