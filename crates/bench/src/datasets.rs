@@ -49,15 +49,43 @@ pub fn ensure_dataset(dataset: Dataset, bytes: usize) -> std::io::Result<PathBuf
         return Ok(path);
     }
     fs::create_dir_all(cache_dir())?;
-    let tmp = path.with_extension("xml.tmp");
-    {
-        let file = fs::File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
-        dataset.generate(bytes, &mut writer)?;
-        writer.flush()?;
-    }
-    fs::rename(&tmp, &path)?;
+    publish(&path, |writer| {
+        dataset.generate(bytes, writer)?;
+        Ok(())
+    })?;
     Ok(path)
+}
+
+/// Writes a cache file: `write` fills a temporary file whose name is
+/// unique to this process and thread, which is then published at `path`
+/// unless another writer published it first. Concurrent callers (test
+/// threads, parallel binaries) each write their own temporary file and
+/// never replace a published one, so a published file never changes
+/// under a reader.
+fn publish(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = fs::File::create(&tmp).and_then(|file| {
+        let mut writer = BufWriter::new(file);
+        write(&mut writer)?;
+        writer.flush()
+    });
+    // A hard link publishes atomically and fails, instead of replacing,
+    // when the file is already there.
+    let published = written.and_then(|()| match fs::hard_link(&tmp, path) {
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
+        linked => linked,
+    });
+    let removed = fs::remove_file(&tmp);
+    published.and(removed)
 }
 
 /// Duplicates a dataset k times into one well-formed document (the
@@ -87,18 +115,13 @@ pub fn ensure_duplicated(dataset: Dataset, bytes: usize, k: usize) -> std::io::R
         Some(i) => i + 2,
         None => 0,
     };
-    let tmp = path.with_extension("xml.tmp");
-    {
-        let file = fs::File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
+    publish(&path, |writer| {
         writer.write_all(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?><dup>")?;
         for _ in 0..k {
             writer.write_all(&body[content_start..])?;
         }
-        writer.write_all(b"</dup>")?;
-        writer.flush()?;
-    }
-    fs::rename(&tmp, &path)?;
+        writer.write_all(b"</dup>")
+    })?;
     Ok(path)
 }
 
@@ -117,6 +140,34 @@ mod tests {
         let path2 = ensure_dataset(Dataset::Book, 20_000).unwrap();
         assert_eq!(path, path2);
         assert_eq!(fs::metadata(&path2).unwrap().modified().unwrap(), mtime);
+    }
+
+    #[test]
+    fn concurrent_writers_publish_one_file() {
+        // A size no other test uses, generated afresh.
+        let path = dataset_path(Dataset::Book, 20_001);
+        match fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => panic!("{e}"),
+            _ => {}
+        }
+        let threads: Vec<_> = (0..4)
+            .map(|_| std::thread::spawn(|| ensure_dataset(Dataset::Book, 20_001).unwrap()))
+            .collect();
+        for t in threads {
+            assert_eq!(t.join().unwrap(), path);
+        }
+        let mtime = fs::metadata(&path).unwrap().modified().unwrap();
+        ensure_dataset(Dataset::Book, 20_001).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().modified().unwrap(), mtime);
+        // No temporary file is left behind.
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        let leftovers = fs::read_dir(cache_dir())
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(&stem) && name.ends_with(".tmp"))
+            .count();
+        assert_eq!(leftovers, 0);
     }
 
     #[test]

@@ -253,8 +253,20 @@ impl<O: MachineObserver> StreamEngine for BranchM<O> {
         self.machine.needs_attributes(sym)
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.machine.can_be_candidate(sym)
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        Some(self.live_candidates)
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.results)
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.append(&mut self.results);
     }
 
     fn stats(&self) -> &EngineStats {

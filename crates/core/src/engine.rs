@@ -40,7 +40,9 @@ use crate::twig::TwigM;
 /// arrives with an empty attribute slice and costs no allocation. The
 /// entity references in every attribute value are still checked when
 /// the reader scans the tag, so an unknown entity fails the document
-/// whatever the engine decodes.
+/// whatever the engine decodes. [`drive`] asks before every start tag,
+/// so an engine may answer from its state; a batch plan asks once per
+/// symbol (see [`StreamEngine::needs_attributes`]).
 ///
 /// An engine with a [`StreamEngine::projection`] receives no events
 /// for the content of elements below which none of its query nodes can
@@ -80,9 +82,36 @@ pub trait StreamEngine {
     /// Whether a start event with this symbol needs its attributes
     /// decoded (see the trait docs). The conservative default decodes
     /// always.
+    ///
+    /// [`drive`] asks before every start tag, so the answer may depend
+    /// on the engine's state: the fragment collector needs attributes
+    /// only while it records a candidate, or for a tag that can become
+    /// one. A `BatchPlan` asks once per symbol and caches the answer for
+    /// the whole document, so a plan must never be built from an engine
+    /// whose answer changes; such an engine is replayed only under a
+    /// deliver-all plan, which decodes every attribute.
     fn needs_attributes(&self, sym: Symbol) -> bool {
         let _ = sym;
         true
+    }
+
+    /// Whether an element with this symbol can become a solution
+    /// candidate, that is, whether [`StreamEngine::start_element`] can
+    /// return `true` for it. The answer must be conservative: `false`
+    /// only when no document can make the symbol a candidate. The
+    /// default, `true`, is always correct; the machines answer from
+    /// their return node.
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        let _ = sym;
+        true
+    }
+
+    /// How many undecided candidates the engine holds now, or `None`
+    /// (the default) when it does not know. `Some(0)` promises that no
+    /// candidate started so far can still be decided, so a wrapper that
+    /// buffers candidate output may drop what it holds for them.
+    fn live_candidates(&self) -> Option<u64> {
+        None
     }
 
     /// Applies one pre-parsed event batch produced under a plan over
@@ -111,6 +140,14 @@ pub trait StreamEngine {
 
     /// Drains the results decided so far, in decision order.
     fn take_results(&mut self) -> Vec<NodeId>;
+
+    /// Moves the results decided so far onto the end of `out`, in
+    /// decision order: [`StreamEngine::take_results`] for a caller that
+    /// drains after every event. The machines keep their result
+    /// vector's capacity, so a warm drain allocates nothing.
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.append(&mut self.take_results());
+    }
 
     /// Work / memory counters.
     fn stats(&self) -> &EngineStats;
@@ -154,6 +191,14 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
         (**self).needs_attributes(sym)
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        (**self).can_be_candidate(sym)
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        (**self).live_candidates()
+    }
+
     fn apply_batch(&mut self, batch: &EventBatch) {
         (**self).apply_batch(batch)
     }
@@ -168,6 +213,10 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
 
     fn take_results(&mut self) -> Vec<NodeId> {
         (**self).take_results()
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        (**self).drain_results(out)
     }
 
     fn stats(&self) -> &EngineStats {
@@ -360,6 +409,18 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
         }
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.machine().can_be_candidate(sym)
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        match self {
+            Engine::Path(e) => e.live_candidates(),
+            Engine::Branch(e) => e.live_candidates(),
+            Engine::Twig(e) => e.live_candidates(),
+        }
+    }
+
     /// Replays the batch into the selected machine, so the per-event
     /// dispatch does not go through this enum.
     fn apply_batch(&mut self, batch: &EventBatch) {
@@ -383,6 +444,14 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
             Engine::Path(e) => e.take_results(),
             Engine::Branch(e) => e.take_results(),
             Engine::Twig(e) => e.take_results(),
+        }
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        match self {
+            Engine::Path(e) => e.drain_results(out),
+            Engine::Branch(e) => e.drain_results(out),
+            Engine::Twig(e) => e.drain_results(out),
         }
     }
 
@@ -555,13 +624,14 @@ where
 {
     let mut depth = src.depth();
     let project = src.project_with(|| engine.projection());
+    // One attribute vector for every start tag: each borrows it for its
+    // own event, and `recycle` hands the emptied allocation back.
+    let mut spare: Vec<Attribute<'static>> = Vec::new();
     while let Some(event) = src.pull()? {
         match event {
             Event::Start(tag) => {
                 let sym = symbol_of(engine, tag.name());
-                // An empty Vec never allocates, so a start tag whose
-                // attributes nothing tests costs no allocation.
-                let mut attrs: Vec<Attribute<'_>> = Vec::new();
+                let mut attrs: Vec<Attribute<'_>> = std::mem::take(&mut spare);
                 if engine.needs_attributes(sym) {
                     for a in tag.attributes() {
                         attrs.push(a?);
@@ -569,6 +639,7 @@ where
                 }
                 depth = tag.level();
                 engine.start_element(sym, tag.name(), &attrs, depth, tag.id());
+                spare = recycle(attrs);
                 if project {
                     src.project(sym);
                 }
@@ -586,6 +657,14 @@ where
         }
     }
     Ok(())
+}
+
+/// Empties `attrs` and returns its allocation with the lifetime the
+/// caller picks. The `collect` runs in place: same element type, no
+/// element to map, so the buffer is reused and nothing is allocated.
+fn recycle<'a>(mut attrs: Vec<Attribute<'_>>) -> Vec<Attribute<'a>> {
+    attrs.clear();
+    attrs.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 /// The batch replay: turns a pre-parsed [`EventBatch`] into `engine`

@@ -7,38 +7,60 @@
 //! solution *candidate*, and releases a fragment as soon as the wrapped
 //! engine decides the candidate is a real solution.
 //!
+//! Each event is serialized once, into one buffer shared by every
+//! recording: an open or closed-but-undecided candidate is a `(start,
+//! end)` range of it, so nested candidates share their bytes instead of
+//! copying them once per nesting level (the output-side twin of TwigM's
+//! compact stacks, paper §3–4). A decided fragment is copied out once.
+//!
 //! Memory note: fragments of undecided candidates are buffered until the
-//! decision (or until the document ends, when unreleased buffers are
-//! dropped). This is inherent to the problem — a streaming processor
+//! decision. This is inherent to the problem — a streaming processor
 //! cannot ship data it may still have to retract — and mirrors the
 //! buffering all predicate-capable streaming processors perform (XSQ's
-//! buffer, TurboXPath's work areas).
+//! buffer, TurboXPath's work areas). The buffer is emptied as soon as
+//! nothing in it can still ship: when no recording is open and either
+//! every closed candidate was decided or the engine reports
+//! ([`StreamEngine::live_candidates`]) that it holds none; an engine
+//! that cannot tell keeps the bytes until the document ends.
 
-use twigm_sax::{escape_attr, escape_text, Attribute, NodeId, Projection, Symbol, SymbolTable};
+use twigm_sax::{
+    escape_attr_into, escape_text_into, Attribute, NodeId, Projection, Symbol, SymbolTable,
+};
 
 use crate::engine::StreamEngine;
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::stats::EngineStats;
 
-/// A recording of one candidate element's subtree, in progress.
+/// A candidate element whose subtree is being serialized.
 #[derive(Debug)]
 struct Recording {
     id: u64,
     level: u32,
-    buf: String,
+    /// Where the element's start tag begins in the shared buffer.
+    start: usize,
+    /// The engine decided the element before its end tag (PathM decides
+    /// at the start tag).
+    decided: bool,
 }
 
 /// Wraps a [`StreamEngine`] and captures the XML fragments of decided
 /// solutions.
+///
+/// Attributes are decoded only while a recording is open, for tags the
+/// wrapped engine can make a candidate, and where it tests them, so
+/// [`StreamEngine::needs_attributes`] depends on the collector's state:
+/// drive it with [`crate::engine::drive`] (or `run_engine`), or replay
+/// batches built under a deliver-all plan, never under a plan built from
+/// the collector.
 pub struct FragmentCollector<E> {
     inner: E,
-    /// Recordings of candidate elements still open.
+    /// Every event since the first open or pending recording began,
+    /// serialized once.
+    buf: String,
+    /// Recordings of candidate elements still open, outermost first.
     open: Vec<Recording>,
-    /// Fragments of closed but undecided candidates.
-    pending: FxHashMap<u64, String>,
-    /// Ids decided before their fragment closed (PathM decides at the
-    /// start tag).
-    decided_early: FxHashSet<u64>,
+    /// Closed but undecided candidates: id → their range in `buf`.
+    pending: FxHashMap<u64, (usize, usize)>,
     /// Decided `(id, fragment)` pairs, in decision order.
     fragments: Vec<(NodeId, String)>,
     result_ids: Vec<NodeId>,
@@ -49,9 +71,9 @@ impl<E: StreamEngine> FragmentCollector<E> {
     pub fn new(inner: E) -> Self {
         FragmentCollector {
             inner,
+            buf: String::new(),
             open: Vec::new(),
             pending: FxHashMap::default(),
-            decided_early: FxHashSet::default(),
             fragments: Vec::new(),
             result_ids: Vec::new(),
         }
@@ -67,16 +89,31 @@ impl<E: StreamEngine> FragmentCollector<E> {
         &self.inner
     }
 
+    /// Bytes of serialized output held for open and undecided
+    /// candidates.
+    pub fn buffered_bytes(&self) -> usize {
+        self.buf.len()
+    }
+
     fn drain_decisions(&mut self) {
-        for id in self.inner.take_results() {
-            self.result_ids.push(id);
-            match self.pending.remove(&id.get()) {
-                Some(fragment) => self.fragments.push((id, fragment)),
-                None => {
-                    // Fragment still recording (decision at start tag).
-                    self.decided_early.insert(id.get());
-                }
+        let from = self.result_ids.len();
+        self.inner.drain_results(&mut self.result_ids);
+        for i in from..self.result_ids.len() {
+            let id = self.result_ids[i];
+            if let Some((start, end)) = self.pending.remove(&id.get()) {
+                self.fragments.push((id, self.buf[start..end].to_owned()));
+            } else if let Some(rec) = self.open.iter_mut().rev().find(|r| r.id == id.get()) {
+                // Still recording: ships when its end tag closes it.
+                rec.decided = true;
             }
+        }
+    }
+
+    /// Empties the buffer once nothing in it can still ship.
+    fn release_dead(&mut self) {
+        if self.pending.is_empty() || self.inner.live_candidates() == Some(0) {
+            self.pending.clear();
+            self.buf.clear();
         }
     }
 }
@@ -92,25 +129,24 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
     ) -> bool {
         let became_candidate = self.inner.start_element(sym, name, attrs, level, id);
         if !self.open.is_empty() || became_candidate {
-            let mut tag_text = String::with_capacity(name.len() + 2);
-            tag_text.push('<');
-            tag_text.push_str(name);
+            let start = self.buf.len();
+            let buf = &mut self.buf;
+            buf.push('<');
+            buf.push_str(name);
             for a in attrs {
-                tag_text.push(' ');
-                tag_text.push_str(a.name);
-                tag_text.push_str("=\"");
-                tag_text.push_str(&escape_attr(&a.value));
-                tag_text.push('"');
+                buf.push(' ');
+                buf.push_str(a.name);
+                buf.push_str("=\"");
+                escape_attr_into(&a.value, buf);
+                buf.push('"');
             }
-            tag_text.push('>');
-            for rec in &mut self.open {
-                rec.buf.push_str(&tag_text);
-            }
+            buf.push('>');
             if became_candidate {
                 self.open.push(Recording {
                     id: id.get(),
                     level,
-                    buf: tag_text,
+                    start,
+                    decided: false,
                 });
             }
         }
@@ -121,30 +157,27 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
     fn text(&mut self, text: &str, level: u32) {
         self.inner.text(text, level);
         if !self.open.is_empty() {
-            let escaped = escape_text(text);
-            for rec in &mut self.open {
-                rec.buf.push_str(&escaped);
-            }
+            escape_text_into(text, &mut self.buf);
         }
     }
 
     fn end_element(&mut self, sym: Symbol, name: &str, level: u32) {
         self.inner.end_element(sym, name, level);
         if !self.open.is_empty() {
-            for rec in &mut self.open {
-                rec.buf.push_str("</");
-                rec.buf.push_str(name);
-                rec.buf.push('>');
-            }
+            self.buf.push_str("</");
+            self.buf.push_str(name);
+            self.buf.push('>');
             // Close recordings of elements ending at this level (at most
             // one: recordings at one level are sequential, and the
             // previous one was closed when its element ended).
+            let end = self.buf.len();
             while self.open.last().is_some_and(|rec| rec.level == level) {
                 let rec = self.open.pop().expect("checked non-empty");
-                if self.decided_early.remove(&rec.id) {
-                    self.fragments.push((NodeId::new(rec.id), rec.buf));
+                if rec.decided {
+                    let fragment = self.buf[rec.start..end].to_owned();
+                    self.fragments.push((NodeId::new(rec.id), fragment));
                 } else {
-                    self.pending.insert(rec.id, rec.buf);
+                    self.pending.insert(rec.id, (rec.start, end));
                 }
             }
         }
@@ -152,15 +185,33 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         if level == 1 {
             // Document closed: undecided candidates are dead.
             self.pending.clear();
-            self.decided_early.clear();
+            self.buf.clear();
+        } else if self.open.is_empty() && !self.buf.is_empty() {
+            self.release_dead();
         }
     }
 
-    /// The inner engine's table. Attributes stay decoded for every
-    /// start tag (the default `needs_attributes`): recorded fragments
-    /// serialize them.
+    /// The inner engine's table.
     fn symbols(&self) -> Option<&SymbolTable> {
         self.inner.symbols()
+    }
+
+    /// Attributes are serialized for every tag inside an open
+    /// recording and for a tag that may open one; otherwise only the
+    /// inner engine's tests need them. The answer depends on the
+    /// collector's state (see the type docs).
+    fn needs_attributes(&self, sym: Symbol) -> bool {
+        !self.open.is_empty()
+            || self.inner.can_be_candidate(sym)
+            || self.inner.needs_attributes(sym)
+    }
+
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.inner.can_be_candidate(sym)
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        self.inner.live_candidates()
     }
 
     /// The inner engine's projection, with the whole subtree of every
@@ -175,6 +226,10 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         std::mem::take(&mut self.result_ids)
     }
 
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.append(&mut self.result_ids);
+    }
+
     fn stats(&self) -> &EngineStats {
         self.inner.stats()
     }
@@ -187,7 +242,7 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_engine;
+    use crate::engine::{run_engine, ByName};
     use crate::path::PathM;
     use crate::twig::TwigM;
     use twigm_xpath::parse;
@@ -255,9 +310,87 @@ mod tests {
     }
 
     #[test]
+    fn attributes_are_decoded_only_where_recorded() {
+        let q = parse("//a[b]").unwrap();
+        let mut collector = FragmentCollector::new(TwigM::new(&q).unwrap());
+        let table = collector.symbols().unwrap().clone();
+        let (a, b, c) = (table.lookup("a"), table.lookup("b"), table.lookup("c"));
+        // Outside a recording only a possible candidate decodes them.
+        assert!(collector.needs_attributes(a));
+        assert!(!collector.needs_attributes(b));
+        assert!(!collector.needs_attributes(c));
+        collector.start_named("a", &[], 1, NodeId::new(0));
+        // Inside one, every tag does.
+        assert!(collector.needs_attributes(c));
+        assert!(collector.needs_attributes(Symbol::UNKNOWN));
+
+        let xml = r#"<r x="1"><c z="2"/><a k="v&amp;w"><b y="&lt;"/><d e='"'/></a></r>"#;
+        assert_eq!(
+            fragments("//a[b]", xml),
+            vec![r#"<a k="v&amp;w"><b y="&lt;"></b><d e="&quot;"></d></a>"#]
+        );
+    }
+
+    #[test]
+    fn dead_candidates_free_the_buffer() {
+        let q = parse("//x[b]//a").unwrap();
+        let mut collector = FragmentCollector::new(TwigM::new(&q).unwrap());
+        let text = |c: &mut FragmentCollector<TwigM>, t: &str, level| c.text(t, level);
+        collector.start_named("r", &[], 1, NodeId::new(0));
+        // `a` under an `x` without `b`: undecided, and live after it
+        // closes, so its bytes stay.
+        collector.start_named("x", &[], 2, NodeId::new(1));
+        collector.start_named("a", &[], 3, NodeId::new(2));
+        text(&mut collector, "t", 3);
+        collector.end_named("a", 3);
+        assert_eq!(collector.buffered_bytes(), "<a>t</a>".len());
+        // `x` closes without `b`: the candidate is dead, the buffer empty.
+        collector.end_named("x", 2);
+        assert_eq!(collector.buffered_bytes(), 0);
+        // Under an `x` that gets its `b`, the candidate ships.
+        collector.start_named("x", &[], 2, NodeId::new(3));
+        collector.start_named("a", &[], 3, NodeId::new(4));
+        collector.end_named("a", 3);
+        collector.start_named("b", &[], 3, NodeId::new(5));
+        collector.end_named("b", 3);
+        assert_eq!(collector.buffered_bytes(), 0);
+        collector.end_named("x", 2);
+        collector.end_named("r", 1);
+        let ids: Vec<u64> = collector.take_results().iter().map(|id| id.get()).collect();
+        assert_eq!(ids, vec![4]);
+        assert_eq!(
+            collector.take_fragments(),
+            vec![(NodeId::new(4), "<a></a>".to_string())]
+        );
+    }
+
+    #[test]
     fn undecided_candidates_produce_nothing() {
         let xml = "<r><a><c/></a></r>";
         assert!(fragments("//a[b]", xml).is_empty());
+    }
+
+    #[test]
+    fn deliver_all_batches_give_the_driver_fragments() {
+        use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch};
+        use twigm_sax::SaxReader;
+        let q = parse("//a[b]").unwrap();
+        let xml = r#"<r x="1"><a k="v"><c y="2">t</c><b/></a><a><a z="&amp;"><b/></a></a></r>"#;
+        let (_, mut driven) = run_engine(
+            FragmentCollector::new(TwigM::new(&q).unwrap()),
+            xml.as_bytes(),
+        )
+        .unwrap();
+        let mut replayed = FragmentCollector::new(TwigM::new(&q).unwrap());
+        let plan = BatchPlan::deliver_all(replayed.symbols().unwrap().clone());
+        let mut producer = BatchProducer::new(SaxReader::new(xml.as_bytes()), plan);
+        let mut batch = EventBatch::new();
+        while producer.next_batch(&mut batch, 4).unwrap() {
+            replayed.apply_batch(&batch);
+        }
+        let fragments = driven.take_fragments();
+        assert_eq!(fragments.len(), 2);
+        assert_eq!(replayed.take_fragments(), fragments);
     }
 
     #[test]

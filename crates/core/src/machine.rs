@@ -510,6 +510,15 @@ impl Machine {
             }
     }
 
+    /// Whether an element with this symbol can become a solution
+    /// candidate: the return node is labelled `*` or with exactly this
+    /// tag. An unknown symbol can only match a `*` return node.
+    #[inline]
+    pub fn can_be_candidate(&self, sym: Symbol) -> bool {
+        let sol = self.nodes[self.sol].sym;
+        sol.index().is_none() || sol == sym
+    }
+
     /// Machine nodes that should receive events for `tag` (name matches
     /// or the node is a wildcard). String-keyed convenience: one interner
     /// lookup, then symbol dispatch.

@@ -95,6 +95,10 @@ pub struct MultiTwigM<O: MachineObserver = NoopObserver> {
     attr_syms: Vec<bool>,
     /// Some wildcard node tests attributes.
     attr_wild: bool,
+    /// Per symbol index: some query's return node has that tag.
+    sol_syms: Vec<bool>,
+    /// Some query's return node is labelled `*`.
+    sol_wild: bool,
     /// (query, machine node) pairs labelled `*`.
     wildcards: Vec<(QueryId, usize)>,
     /// Queries with nodes that accumulate text.
@@ -136,6 +140,8 @@ impl<O: MachineObserver> MultiTwigM<O> {
             by_sym: Vec::new(),
             attr_syms: Vec::new(),
             attr_wild: false,
+            sol_syms: Vec::new(),
+            sol_wild: false,
             wildcards: Vec::new(),
             text_queries: Vec::new(),
             pos_queries: Vec::new(),
@@ -189,12 +195,15 @@ impl<O: MachineObserver> MultiTwigM<O> {
                     // The dense tables track the append-only symbol space.
                     self.by_sym.resize(self.table.len(), Vec::new());
                     self.attr_syms.resize(self.table.len(), false);
+                    self.sol_syms.resize(self.table.len(), false);
                     self.by_sym[i].push((qid, v));
                     self.attr_syms[i] |= tests_attrs;
+                    self.sol_syms[i] |= node.is_sol;
                 }
                 NameTest::Wildcard => {
                     self.wildcards.push((qid, v));
                     self.attr_wild |= tests_attrs;
+                    self.sol_wild |= node.is_sol;
                 }
             }
         }
@@ -406,8 +415,24 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
             }
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.sol_wild
+            || match sym.index() {
+                Some(i) if i < self.sol_syms.len() => self.sol_syms[i],
+                _ => false,
+            }
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        Some(self.live.candidates)
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         self.results.drain(..).map(|r| r.node).collect()
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.extend(self.results.drain(..).map(|r| r.node));
     }
 
     fn stats(&self) -> &EngineStats {

@@ -202,8 +202,21 @@ impl<O: MachineObserver> StreamEngine for PathM<O> {
         false
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.machine.can_be_candidate(sym)
+    }
+
+    /// Always 0: a PathM match is decided at its start tag.
+    fn live_candidates(&self) -> Option<u64> {
+        Some(0)
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.results)
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.append(&mut self.results);
     }
 
     fn stats(&self) -> &EngineStats {

@@ -675,8 +675,20 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
         self.core.machine.needs_attributes(sym)
     }
 
+    fn can_be_candidate(&self, sym: Symbol) -> bool {
+        self.core.machine.can_be_candidate(sym)
+    }
+
+    fn live_candidates(&self) -> Option<u64> {
+        Some(self.live.candidates)
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.results)
+    }
+
+    fn drain_results(&mut self, out: &mut Vec<NodeId>) {
+        out.append(&mut self.results);
     }
 
     fn stats(&self) -> &EngineStats {

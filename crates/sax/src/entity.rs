@@ -11,6 +11,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::error::{SaxError, SaxResult};
+use crate::scan;
 
 /// Declared general entities (name → replacement text, undecoded).
 pub type EntityMap = HashMap<String, String>;
@@ -190,6 +191,41 @@ pub fn escape_attr(raw: &str) -> Cow<'_, str> {
     escape(raw, true)
 }
 
+/// Appends `raw` to `out` with `<`, `>` and `&` escaped, for character
+/// data: the allocation-free form of [`escape_text`] for a caller that
+/// serializes into a buffer of its own.
+pub fn escape_text_into(raw: &str, out: &mut String) {
+    escape_into(raw, out, |hay| scan::memchr3(b'<', b'>', b'&', hay));
+}
+
+/// Appends `raw` to `out` with `<`, `>`, `&` and `"` escaped, for a
+/// double-quoted attribute value: the allocation-free form of
+/// [`escape_attr`].
+pub fn escape_attr_into(raw: &str, out: &mut String) {
+    escape_into(raw, out, |hay| {
+        scan::find_any([b'<', b'>', b'&', b'"'], hay)
+    });
+}
+
+/// Copies `raw` into `out` run by run, replacing each byte `find`
+/// stops at with its entity reference.
+#[inline]
+fn escape_into(raw: &str, out: &mut String, find: impl Fn(&[u8]) -> Option<usize>) {
+    let mut rest = raw;
+    while let Some(i) = find(rest.as_bytes()) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            _ => "&quot;",
+        });
+        // The escaped bytes are ASCII, so `i + 1` is a char boundary.
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
 fn escape(raw: &str, attr: bool) -> Cow<'_, str> {
     let needs = raw
         .bytes()
@@ -289,6 +325,25 @@ mod tests {
         assert_eq!(decode_entities(&escaped, 0).unwrap(), raw);
         let escaped = escape_text(raw);
         assert_eq!(decode_entities(&escaped, 0).unwrap(), raw);
+    }
+
+    #[test]
+    fn escaping_into_a_buffer_matches_the_cow_forms() {
+        for raw in [
+            "",
+            "clean",
+            "a<b>&c\"d'e",
+            "<<&&>>\"\"",
+            "ünï<cödé>&\"",
+            "tail&",
+        ] {
+            let mut out = String::from("prefix:");
+            escape_text_into(raw, &mut out);
+            assert_eq!(out, format!("prefix:{}", escape_text(raw)), "{raw}");
+            let mut out = String::new();
+            escape_attr_into(raw, &mut out);
+            assert_eq!(out, escape_attr(raw), "{raw}");
+        }
     }
 
     #[test]

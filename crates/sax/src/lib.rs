@@ -28,7 +28,8 @@
 //! no decoding, but the same checks and the same errors.
 //!
 //! [`XmlWriter`] is the inverse: an escaping serializer used by the dataset
-//! generators and by TwigM's XML-fragment output mode.
+//! generators. TwigM's XML-fragment output escapes straight into its own
+//! buffer with [`escape_text_into`] and [`escape_attr_into`].
 //!
 //! # Example
 //!
@@ -65,8 +66,8 @@ mod writer;
 
 pub use batch::{BatchEvent, BatchEventKind, BatchPlan, BatchProducer, EventBatch};
 pub use entity::{
-    decode_entities, decode_entities_into, decode_entities_with, escape_attr, escape_text,
-    EntityMap,
+    decode_entities, decode_entities_into, decode_entities_with, escape_attr, escape_attr_into,
+    escape_text, escape_text_into, EntityMap,
 };
 pub use error::{SaxError, SaxResult};
 pub use event::{Attribute, EndTag, Event, NodeId, OwnedEvent, StartTag};

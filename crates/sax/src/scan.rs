@@ -166,7 +166,7 @@ impl Drop for ScalarGuard {
 }
 
 #[inline]
-fn find_any<const N: usize>(needles: [u8; N], hay: &[u8]) -> Option<usize> {
+pub(crate) fn find_any<const N: usize>(needles: [u8; N], hay: &[u8]) -> Option<usize> {
     if force_scalar_enabled() {
         return scalar::find_any(&needles, hay);
     }

@@ -1,6 +1,7 @@
 //! Differential checking of every engine against the DOM oracle, plus
 //! Theorem 4.4 accounting assertions.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use twigm::engine::{drive, run_engine, StreamEngine, Telemetry};
@@ -9,10 +10,10 @@ use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, Pi
 use twigm::{BranchM, Engine, EngineStats, MultiTwigM, PathM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::{NodeId, SaxError, SaxReader};
+use twigm_sax::{escape_attr, escape_text, Event, NodeId, SaxError, SaxReader};
 use twigm_xpath::Path;
 
-use crate::resplit::{run_engine_chunked, split_points, SplitStrategy};
+use crate::resplit::{run_engine_chunked, split_points, SplitStrategy, STRATEGIES};
 
 /// Coarse classification of a failure, used to decide whether a shrink
 /// step preserved "the same bug".
@@ -150,23 +151,97 @@ fn check_engine<E: StreamEngine>(
     Some(engine.stats().clone())
 }
 
-/// Checks the fragment output mode over `engine`: the ids of the
-/// fragments a [`FragmentCollector`] releases must equal the ids the
-/// wrapped engine decides in the same run, one fragment each, and every
-/// fragment must parse as a standalone document.
-fn check_fragments<E: StreamEngine>(engine: E, xml: &[u8], query: &Path, out: &mut Vec<Violation>) {
+/// Checks the fragment output mode over the engines `compile` builds:
+/// the ids of the fragments a [`FragmentCollector`] releases must equal
+/// the ids the wrapped engine decides in the same run, one fragment
+/// each, and every fragment must equal, byte for byte, the
+/// [`reference_fragments`] serialization of its element. The collector
+/// runs on the serial driver and, fed through `FeedReader`, at one
+/// chunk split picked by the document's length.
+fn check_fragments<E: StreamEngine>(
+    compile: impl Fn() -> E,
+    xml: &[u8],
+    query: &Path,
+    out: &mut Vec<Violation>,
+) {
     // A failed run is the plain engine check's to report.
-    if let Ok((ids, mut collector)) = run_engine(FragmentCollector::new(engine), xml) {
-        check_fragment_output(&sorted(ids), &collector.take_fragments(), query, out);
+    let Ok((ids, mut collector)) = run_engine(FragmentCollector::new(compile()), xml) else {
+        return;
+    };
+    let ids = sorted(ids);
+    let Ok(reference) = reference_fragments(xml, &ids) else {
+        return;
+    };
+    let fragments = collector.take_fragments();
+    check_fragment_output(&ids, &fragments, &reference, "", query, out);
+    let split = STRATEGIES[xml.len() % STRATEGIES.len()];
+    let cuts = split_points(xml, split);
+    if let Ok((ids, mut collector)) =
+        run_engine_chunked(FragmentCollector::new(compile()), xml, &cuts)
+    {
+        let context = format!("{split:?}: ");
+        let chunked = collector.take_fragments();
+        check_fragment_output(&sorted(ids), &chunked, &reference, &context, query, out);
     }
+}
+
+/// The reference serialization of the subtree of each element in `ids`,
+/// keyed by id: an unprojected re-read of `xml` that writes each
+/// recorded element as `<name a="value">…</name>`, with attribute values
+/// and text re-escaped and comments and processing instructions left
+/// out. That is the fragment format of [`FragmentCollector`], written
+/// independently of it: each recording keeps a string of its own.
+pub fn reference_fragments(xml: &[u8], ids: &[u64]) -> Result<HashMap<u64, String>, SaxError> {
+    let wanted: HashSet<u64> = ids.iter().copied().collect();
+    let mut open: Vec<(u64, u32, String)> = Vec::new();
+    let mut done = HashMap::new();
+    let mut reader = SaxReader::from_bytes(xml).with_projection(None);
+    while let Some(event) = reader.next_event()? {
+        let piece = match event {
+            Event::Start(tag) => {
+                if wanted.contains(&tag.id().get()) {
+                    open.push((tag.id().get(), tag.level(), String::new()));
+                }
+                let mut piece = format!("<{}", tag.name());
+                for a in tag.attributes() {
+                    let a = a?;
+                    piece.push_str(&format!(" {}=\"{}\"", a.name, escape_attr(&a.value)));
+                }
+                piece.push('>');
+                piece
+            }
+            Event::End(tag) => {
+                let piece = format!("</{}>", tag.name());
+                for (_, _, text) in &mut open {
+                    text.push_str(&piece);
+                }
+                while open
+                    .last()
+                    .is_some_and(|(_, level, _)| *level == tag.level())
+                {
+                    let (id, _, text) = open.pop().expect("checked non-empty");
+                    done.insert(id, text);
+                }
+                continue;
+            }
+            Event::Text(text) => escape_text(&text).into_owned(),
+            Event::Comment(_) | Event::ProcessingInstruction { .. } => continue,
+        };
+        for (_, _, text) in &mut open {
+            text.push_str(&piece);
+        }
+    }
+    Ok(done)
 }
 
 /// The [`check_fragments`] relations on one run's output: `engine_ids`
 /// (sorted) are the wrapped engine's decisions, `fragments` what the
-/// collector released.
+/// collector released, `reference` the expected bytes per id.
 fn check_fragment_output(
     engine_ids: &[u64],
     fragments: &[(NodeId, String)],
+    reference: &HashMap<u64, String>,
+    context: &str,
     query: &Path,
     out: &mut Vec<Violation>,
 ) {
@@ -175,7 +250,7 @@ fn check_fragment_output(
             kind: ViolationKind::Fragment,
             engine: "FragmentCollector",
             query: query.to_string(),
-            detail,
+            detail: format!("{context}{detail}"),
         })
     };
     let fragment_ids = sorted(fragments.iter().map(|(id, _)| *id).collect());
@@ -193,6 +268,13 @@ fn check_fragment_output(
                 Err(e) => break Err(e),
             }
         };
+        if reference.get(&id.get()) != Some(fragment) {
+            violation(format!(
+                "fragment of {} is {fragment:?}, the reference serialization {:?}",
+                id.get(),
+                reference.get(&id.get())
+            ));
+        }
         if let Err(e) = parsed {
             violation(format!(
                 "fragment of {} does not reparse ({e}): {fragment}",
@@ -423,8 +505,9 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
     if let Ok(e) = Engine::new(query) {
         check_engine(e, "Engine", xml, query, &expected, depth, &mut out);
     }
-    if let Ok(e) = Engine::new(query) {
-        check_fragments(e, xml, query, &mut out);
+    if Engine::new(query).is_ok() {
+        let compile = || Engine::new(query).expect("compiled above");
+        check_fragments(compile, xml, query, &mut out);
     }
     check_projection(xml, query, &mut out);
     if let Ok(e) = NaiveEnum::new(query) {
@@ -526,24 +609,45 @@ mod tests {
     }
 
     #[test]
+    fn the_reference_serializes_each_subtree_once() {
+        let xml = br#"<r><a k="1&amp;2"><!--c--><b>x &lt; y</b><?pi d?></a><a><a/></a></r>"#;
+        let reference = reference_fragments(xml, &[1, 3, 4]).unwrap();
+        assert_eq!(reference[&1], r#"<a k="1&amp;2"><b>x &lt; y</b></a>"#);
+        assert_eq!(reference[&3], "<a><a></a></a>");
+        assert_eq!(reference[&4], "<a></a>");
+        assert_eq!(reference.len(), 3);
+    }
+
+    #[test]
     fn wrong_fragments_are_detected() {
         let query = parse("//a").unwrap();
+        let xml = br#"<r><a k="v"><b/></a><a/></r>"#;
+        let reference = reference_fragments(xml, &[1, 3]).unwrap();
         let fragment = |id, text: &str| (NodeId::new(id), text.to_string());
-        let good = [fragment(1, "<a><b></b></a>"), fragment(3, "<a></a>")];
+        let good = [
+            fragment(1, r#"<a k="v"><b></b></a>"#),
+            fragment(3, "<a></a>"),
+        ];
         let mut out = Vec::new();
-        check_fragment_output(&[1, 3], &good, &query, &mut out);
+        check_fragment_output(&[1, 3], &good, &reference, "", &query, &mut out);
         assert!(out.is_empty(), "{out:?}");
-        // A lost fragment, a duplicated one, and one cut short.
-        let bad: [&[(NodeId, String)]; 3] = [
+        // A lost fragment, a duplicated one, one cut short, one missing
+        // its attribute, and one a byte too long.
+        let bad: [&[(NodeId, String)]; 5] = [
             &good[..1],
             &[good[0].clone(), good[0].clone(), good[1].clone()],
             &[good[0].clone(), fragment(3, "<a>")],
+            &[fragment(1, "<a><b></b></a>"), good[1].clone()],
+            &[good[0].clone(), fragment(3, "<a></a><")],
         ];
         for fragments in bad {
             let mut out = Vec::new();
-            check_fragment_output(&[1, 3], fragments, &query, &mut out);
-            assert_eq!(out.len(), 1, "{fragments:?}");
-            assert_eq!(out[0].kind, ViolationKind::Fragment);
+            check_fragment_output(&[1, 3], fragments, &reference, "", &query, &mut out);
+            assert!(!out.is_empty(), "{fragments:?}");
+            assert!(
+                out.iter().all(|v| v.kind == ViolationKind::Fragment),
+                "{out:?}"
+            );
         }
     }
 
@@ -553,12 +657,13 @@ mod tests {
         // fragment for the ids this liar decides.
         let (xml, query) = (b"<r><a/></r>", parse("//a").unwrap());
         let mut out = Vec::new();
-        let liar = Liar(false, EngineStats::default(), Vec::new());
+        let liar = || Liar(false, EngineStats::default(), Vec::new());
         check_fragments(liar, xml, &query, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].kind, ViolationKind::Fragment);
+        // Once on the serial driver, once at the chunk split.
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|v| v.kind == ViolationKind::Fragment));
         let mut out = Vec::new();
-        check_fragments(Engine::new(&query).unwrap(), xml, &query, &mut out);
+        check_fragments(|| Engine::new(&query).unwrap(), xml, &query, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 }
