@@ -37,7 +37,9 @@
 //! serial pass to the configuration's pass in the same round: the two
 //! run back to back, so a load spike on a shared host slows both, where
 //! a ratio of two min-of-N times compares minima taken at different
-//! moments. The CI pipeline-smoke stage runs this with 1.3.
+//! moments. The per-dataset summary lines report the same paired median
+//! for the 1-shard union too, ungated. The CI pipeline-smoke stage runs
+//! this with 1.3.
 //!
 //! Usage: `cargo run -p twigm-bench --release --bin ablation_pipeline`
 //! (plus the common `--scale X` / `--full` / `--repeats N` / `--csv` /
@@ -158,6 +160,8 @@ struct DatasetResult {
     /// Median paired speedups of the gated configurations: pipelined,
     /// 2-shard and 4-shard.
     paired: [f64; 3],
+    /// Median paired speedup of the 1-shard union (reported, not gated).
+    paired_1w: f64,
 }
 
 fn queries_for(dataset: Dataset) -> Vec<QuerySpec> {
@@ -271,6 +275,7 @@ fn main() {
                 paired_median(&union_serial, &sharded2),
                 paired_median(&union_serial, &sharded4),
             ],
+            paired_1w: paired_median(&union_serial, &sharded1),
         };
         print_row(
             &widths,
@@ -305,8 +310,8 @@ fn main() {
     println!();
     for r in &results {
         println!(
-            "{}: median paired speedup pipe {:.2}x, 2w {:.2}x, 4w {:.2}x",
-            r.name, r.paired[0], r.paired[1], r.paired[2]
+            "{}: median paired speedup pipe {:.2}x, 1w {:.2}x, 2w {:.2}x, 4w {:.2}x",
+            r.name, r.paired[0], r.paired_1w, r.paired[1], r.paired[2]
         );
     }
     println!(
@@ -328,7 +333,8 @@ fn main() {
                  \"pipelined_speedup\": {:.4}, \"unfiltered_speedup\": {:.4}, \"prefilter_drop\": {:.4},\n     \
                  \"union\": {{\"branches\": {}, \"results\": {}, \"serial_secs\": {:.6},\n     \
                  \"sharded1_secs\": {:.6}, \"sharded2_secs\": {:.6}, \"sharded4_secs\": {:.6},\n     \
-                 \"sharded1_speedup\": {:.4}, \"sharded2_speedup\": {:.4}, \"sharded4_speedup\": {:.4}}}}}{}\n",
+                 \"sharded1_speedup\": {:.4}, \"sharded2_speedup\": {:.4}, \"sharded4_speedup\": {:.4}}},\n     \
+                 \"paired_speedups\": {{\"pipe\": {:.4}, \"1w\": {:.4}, \"2w\": {:.4}, \"4w\": {:.4}}}}}{}\n",
                 r.name,
                 r.query,
                 r.bytes,
@@ -348,6 +354,10 @@ fn main() {
                 ratio(r.union_serial, r.sharded1),
                 ratio(r.union_serial, r.sharded2),
                 ratio(r.union_serial, r.sharded4),
+                r.paired[0],
+                r.paired_1w,
+                r.paired[1],
+                r.paired[2],
                 if i + 1 == results.len() { "" } else { "," },
             ));
         }

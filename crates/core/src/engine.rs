@@ -670,18 +670,23 @@ fn recycle<'a>(mut attrs: Vec<Attribute<'_>>) -> Vec<Attribute<'a>> {
 /// The batch replay: turns a pre-parsed [`EventBatch`] into `engine`
 /// calls.
 ///
-/// With `relookup` `None` it dispatches on the symbols stored in the
+/// With `remap` `None` it dispatches on the symbols stored in the
 /// batch, which must then have been produced under a plan over the
 /// engine's own table ([`StreamEngine::apply_batch`]). With
-/// `Some(table)` — the engine's own table — each name is looked up again,
-/// for a batch produced under another table: the sharded workers, whose
-/// producer interns the names of every shard.
+/// `Some(remap)` the batch was produced under another table — the
+/// sharded workers', whose producer interns the names of every shard —
+/// and `remap` is that table's [`SymbolTable::translation`] into the
+/// engine's own: each stored symbol is converted with one load, no
+/// name is hashed again.
 pub fn replay_batch<E: StreamEngine + ?Sized>(
     engine: &mut E,
     batch: &EventBatch,
-    relookup: Option<&SymbolTable>,
+    remap: Option<&[Symbol]>,
 ) {
-    let sym = |stored: Symbol, name: &str| relookup.map_or(stored, |table| table.lookup(name));
+    let sym = |stored: Symbol| match (remap, stored.index()) {
+        (Some(remap), Some(i)) => remap[i],
+        _ => stored,
+    };
     let mut attrs: Vec<Attribute<'_>> = Vec::new();
     for event in batch.events() {
         let name = batch.str_of(event);
@@ -690,9 +695,9 @@ pub fn replay_batch<E: StreamEngine + ?Sized>(
                 attrs.clear();
                 attrs.extend(batch.attrs_of(event));
                 let id = NodeId::new(event.id);
-                engine.start_element(sym(event.sym, name), name, &attrs, event.level, id);
+                engine.start_element(sym(event.sym), name, &attrs, event.level, id);
             }
-            BatchEventKind::End => engine.end_element(sym(event.sym, name), name, event.level),
+            BatchEventKind::End => engine.end_element(sym(event.sym), name, event.level),
             BatchEventKind::Text => engine.text(name, event.level),
         }
     }

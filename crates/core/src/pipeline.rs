@@ -28,9 +28,10 @@
 //! dispatched directly ([`StreamEngine::apply_batch`]). [`run_multi_sharded`]
 //! puts one [`MultiTwigM`] shard on each consumer. Each shard interns its
 //! own symbol space, so the producer scans under a name-merged union
-//! table and each consumer looks the names up again in its own table
-//! ([`replay_batch`] with `Some(table)`). Shard results are merged
-//! deterministically in document order.
+//! table and each consumer converts the stored symbols into its own
+//! through a dense array built once per run ([`replay_batch`] with
+//! `Some(remap)`). Shard results are merged deterministically in
+//! document order.
 //!
 //! End-to-end time becomes `max(parse, evaluate)` plus channel overhead
 //! instead of `parse + evaluate`, and the prefilter shrinks the
@@ -186,6 +187,12 @@ fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> (BatchPlan, Opt
 /// batch to each channel in `txs`. Returns every [`PipelineStats`]
 /// counter it owns (all but `threads` and `consumer_stalls`), or the
 /// scan error that ended the stream.
+///
+/// A consumer waits for the first batch to fill before it starts, and
+/// every batch holds back the results its events decide until it
+/// ships, so `batch_events` sets both the pipeline's start-up bubble
+/// and the memory in flight: at most `queue_depth` batches queued per
+/// consumer, one being filled, and one being applied.
 fn produce<R: Read>(
     src: R,
     (plan, projection): (BatchPlan, Option<Projection>),
@@ -247,13 +254,13 @@ fn hand_off(
 }
 
 /// The consumer loop: applies every batch from `rx` to `engine`. With
-/// `relookup`, names are looked up again in that table (the producer
-/// ran under a union table); without it the stored symbols are the
-/// engine's own. Returns the number of times the queue was empty.
+/// `remap`, the stored symbols are converted through it (the producer
+/// ran under a union table); without it they are the engine's own.
+/// Returns the number of times the queue was empty.
 fn consume<E: StreamEngine + ?Sized>(
     engine: &mut E,
     rx: Receiver<Arc<EventBatch>>,
-    relookup: Option<SymbolTable>,
+    remap: Option<Vec<Symbol>>,
     received: &AtomicU64,
 ) -> u64 {
     let mut stalls = 0;
@@ -270,9 +277,9 @@ fn consume<E: StreamEngine + ?Sized>(
             Err(TryRecvError::Disconnected) => break,
         };
         received.fetch_add(1, Ordering::Relaxed);
-        match &relookup {
+        match &remap {
             None => engine.apply_batch(&batch),
-            Some(table) => replay_batch(engine, &batch, Some(table)),
+            Some(remap) => replay_batch(engine, &batch, Some(remap)),
         }
     }
     stalls
@@ -293,9 +300,14 @@ fn run_batched<E: StreamEngine, R: Read + Send>(
         all.extend(workers.iter().map(|w| w as &dyn StreamEngine));
         plan_for(&all, opts.prefilter)
     };
-    // One consumer owns the plan's table; several re-look names up.
-    let relookup =
-        |e: &dyn StreamEngine| (consumers > 1).then(|| e.symbols().cloned().unwrap_or_default());
+    // One consumer owns the plan's table; several each convert the
+    // plan's symbols into their own.
+    let no_table = SymbolTable::new();
+    let remap = |e: &dyn StreamEngine| {
+        (consumers > 1).then(|| plan.0.table.translation(e.symbols().unwrap_or(&no_table)))
+    };
+    let first_remap = remap(&*first);
+    let worker_remaps: Vec<_> = workers.iter().map(|w| remap(w)).collect();
     let batch_events = opts.batch_events.max(1);
     let queue_depth = opts.queue_depth.max(1);
 
@@ -309,18 +321,17 @@ fn run_batched<E: StreamEngine, R: Read + Send>(
         let producer = scope.spawn(move || produce(src, plan, batch_events, txs, received));
         let handles: Vec<_> = workers
             .into_iter()
+            .zip(worker_remaps)
             .zip(rxs)
             .zip(&received[1..])
-            .map(|((mut worker, rx), received)| {
-                let table = relookup(&worker);
+            .map(|(((mut worker, remap), rx), received)| {
                 scope.spawn(move || {
-                    let stalls = consume(&mut worker, rx, table, received);
+                    let stalls = consume(&mut worker, rx, remap, received);
                     (worker, stalls)
                 })
             })
             .collect();
-        let table = relookup(&*first);
-        let mut consumer_stalls = consume(first, first_rx, table, &received[0]);
+        let mut consumer_stalls = consume(first, first_rx, first_remap, &received[0]);
         let workers = handles
             .into_iter()
             .map(|h| {
@@ -361,9 +372,14 @@ pub struct ShardedOutcome {
     /// order — identical to [`crate::engine::evaluate_union`] over the
     /// same query set.
     pub ids: Vec<NodeId>,
-    /// Engine counters merged across shards (sums and maxes, as in
-    /// [`EngineStats::merge`]), except `start_events` and `end_events`:
-    /// every shard sees the same delivered events, counted once.
+    /// Engine counters merged across shards as [`EngineStats::merge`]
+    /// adds up documents, with three exceptions. `start_events` and
+    /// `end_events` are counted once: every shard sees the same
+    /// delivered events. `peak_entries` and `peak_candidates` are the
+    /// *sum* of the shard peaks, not their maximum: the shards hold
+    /// their state at the same time. The shards need not peak at the
+    /// same moment, so the sum is an upper bound on what was ever live
+    /// at once.
     pub stats: EngineStats,
     /// Total machine-node count |Q| summed over every shard.
     pub machine_size: usize,
@@ -391,17 +407,22 @@ pub fn run_multi_sharded<R: Read + Send>(
     let (rest, pipeline) = run_batched(&mut first, shards.collect(), src, opts)?;
 
     // Every shard is fed the same batches, so the event counts are
-    // counted once; the work and results of the shards add up.
+    // counted once; the work, results and live state of the shards add
+    // up.
     let events = (first.stats().start_events, first.stats().end_events);
     let mut stats = EngineStats::default();
+    let mut peaks = (0, 0);
     let mut machine_size = 0usize;
     let mut ids = Vec::new();
     for mut engine in std::iter::once(first).chain(rest) {
         stats.merge(engine.stats());
+        peaks.0 += engine.stats().peak_entries;
+        peaks.1 += engine.stats().peak_candidates;
         machine_size += engine.machine_size();
         ids.extend(StreamEngine::take_results(&mut engine));
     }
     (stats.start_events, stats.end_events) = events;
+    (stats.peak_entries, stats.peak_candidates) = peaks;
     ids.sort_unstable();
     ids.dedup();
     Ok(ShardedOutcome {
@@ -581,6 +602,69 @@ mod tests {
         let outcome = run_multi_sharded(shards, &xml[..], &PipelineOptions::default()).unwrap();
         let got: Vec<u64> = outcome.ids.iter().map(|id| id.get()).collect();
         assert_eq!(got, serial);
+    }
+
+    #[test]
+    fn unknown_tags_under_delivered_elements_remap_to_unknown() {
+        // Disjoint shard vocabularies ({a, b} and {d, e}), tags neither
+        // knows (`u`, `v`) nested under elements each shard delivers,
+        // and text for the `[e = ..]` predicate: every name the producer
+        // did not intern reaches both workers as UNKNOWN, and a name only
+        // the other shard knows maps to UNKNOWN on this one.
+        let mut xml = String::from("<r>");
+        for i in 0..60 {
+            xml.push_str(&format!(
+                "<a><u><b>{i}</b><v/></u><b/></a><d><u><e>x</e></u><e>x</e></d>"
+            ));
+        }
+        xml.push_str("</r>");
+        let branches = parse_union("//a//b | //d[e = 'x']//u").unwrap();
+        let serial: Vec<u64> = evaluate_union(&branches, xml.as_bytes())
+            .unwrap()
+            .into_iter()
+            .map(|id| id.get())
+            .collect();
+        assert!(!serial.is_empty());
+        let opts = PipelineOptions {
+            batch_events: 5,
+            queue_depth: 1,
+            prefilter: false,
+        };
+        for opts in [
+            opts.clone(),
+            PipelineOptions {
+                prefilter: true,
+                ..opts
+            },
+        ] {
+            let shards = shard_queries(&branches, 2).unwrap();
+            let outcome = run_multi_sharded(shards, xml.as_bytes(), &opts).unwrap();
+            let got: Vec<u64> = outcome.ids.iter().map(|id| id.get()).collect();
+            assert_eq!(got, serial, "{opts:?}");
+        }
+    }
+
+    #[test]
+    fn sharded_live_state_is_at_least_the_serial_union() {
+        let xml = b"<r><a><b/><a><b/><a><b/><c/></a></a></a><d><e/></d></r>";
+        let branches = parse_union("//a[b]//c | //a//b | //d[e]").unwrap();
+        let mut serial = MultiTwigM::new();
+        for branch in &branches {
+            serial.add_query(branch).unwrap();
+        }
+        let (_, serial) = run_engine(serial, &xml[..]).unwrap();
+        let serial = serial.stats().clone();
+        for shard_count in [2, 3] {
+            let shards = shard_queries(&branches, shard_count).unwrap();
+            let outcome = run_multi_sharded(shards, &xml[..], &PipelineOptions::default()).unwrap();
+            assert!(
+                outcome.stats.peak_entries >= serial.peak_entries,
+                "{shard_count} shards: {} < {}",
+                outcome.stats.peak_entries,
+                serial.peak_entries
+            );
+            assert!(outcome.stats.peak_candidates >= serial.peak_candidates);
+        }
     }
 
     #[test]

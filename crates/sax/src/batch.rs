@@ -3,10 +3,10 @@
 //! The serial driver interleaves scanning and evaluation one event at a
 //! time. The pipelined driver instead runs the [`SaxReader`] on a
 //! producer thread that packs events into fixed-capacity
-//! [`EventBatch`]es — interned-symbol records in a flat arena, no
-//! per-event allocation — and ships whole batches across a bounded
+//! [`EventBatch`]es — 32-byte interned-symbol records in a flat arena,
+//! no per-event allocation — and ships whole batches across a bounded
 //! channel, so the per-event synchronization cost is amortized over
-//! thousands of events.
+//! a thousand events.
 //!
 //! A [`BatchPlan`] tells the producer everything it needs to know about
 //! the consuming engine *without touching the engine*: a clone of the
@@ -24,7 +24,9 @@
 //!   engines reset per-document state on the root's end event;
 //! * an end tag is delivered iff its start tag was (the producer keeps a
 //!   per-open-element delivery stack), so engines always see balanced
-//!   pairs with their original document levels;
+//!   pairs with their original document levels. The stack also keeps
+//!   each start tag's symbol, which its end tag reuses instead of
+//!   hashing the name again;
 //! * a text event is delivered only when the plan wants text *and* the
 //!   innermost open element was delivered. Each text record carries the
 //!   level of that element explicitly, because an engine's internal
@@ -45,13 +47,21 @@ use crate::event::{Attribute, Event, StartTag};
 use crate::reader::SaxReader;
 use crate::symbol::{Symbol, SymbolTable};
 
-/// Default number of events per batch: large enough to amortize channel
-/// synchronization to noise, small enough that a handful of in-flight
-/// batches stay cache- and memory-friendly.
-pub const DEFAULT_BATCH_EVENTS: usize = 4096;
+/// Default number of events per batch.
+///
+/// A consumer sees nothing of a batch until the producer has filled
+/// it, so the batch size is also how long the pipeline takes to start
+/// and how late a decided result can be. 1024 events (32 KiB of
+/// records plus their text) is the smallest size at which the
+/// per-batch channel hand-off stays out of the CPU time: 512 cost ~8%
+/// more CPU per MiB, while 4096 held a quarter of a 256 KiB document
+/// back before the consumer could start and kept four times the
+/// memory in flight. The sweep is in docs/performance.md.
+pub const DEFAULT_BATCH_EVENTS: usize = 1024;
 
 /// What a [`BatchEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum BatchEventKind {
     /// `startElement(tag, level, id)`.
     Start,
@@ -62,8 +72,9 @@ pub enum BatchEventKind {
     Text,
 }
 
-/// One event in a batch: fixed-size record, all strings in the batch
-/// arena.
+/// One event in a batch: a 32-byte record, all strings in the batch
+/// arena. The producer writes these on one core and the consumers read
+/// them on another, so the record is kept small.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchEvent {
     /// Event kind.
@@ -77,9 +88,18 @@ pub struct BatchEvent {
     pub id: u64,
     /// Arena range of the tag name (start/end) or text content.
     text: (u32, u32),
-    /// Index range into the batch attribute table (start events only).
-    attrs: (u32, u32),
+    /// First index into the batch attribute table (start events only).
+    attr_start: u32,
+    /// Number of attributes from `attr_start`, or [`WIDE_ATTRS`] when
+    /// the range is in [`EventBatch::wide_attrs`].
+    attr_count: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<BatchEvent>() <= 32);
+
+/// The `attr_count` of a start tag with `u16::MAX` or more decoded
+/// attributes, whose range is kept in [`EventBatch::wide_attrs`].
+const WIDE_ATTRS: u16 = u16::MAX;
 
 /// One decoded attribute, as arena ranges.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +120,10 @@ pub struct EventBatch {
     events: Vec<BatchEvent>,
     arena: String,
     attrs: Vec<AttrSpan>,
+    /// `(start, end)` attribute ranges of the start tags too wide for
+    /// `attr_count`, in batch order (empty unless a tag has 65,535 or
+    /// more decoded attributes).
+    wide_attrs: Vec<(u32, u32)>,
     /// Reader events consumed while producing this batch (delivered +
     /// filtered).
     pub scanned: u64,
@@ -119,6 +143,7 @@ impl EventBatch {
         self.events.clear();
         self.arena.clear();
         self.attrs.clear();
+        self.wide_attrs.clear();
         self.scanned = 0;
         self.filtered = 0;
     }
@@ -146,14 +171,22 @@ impl EventBatch {
     /// The decoded attributes of a start event (empty unless the plan
     /// marked the symbol as needing them).
     pub fn attrs_of(&self, event: &BatchEvent) -> impl Iterator<Item = Attribute<'_>> {
-        self.attrs[event.attrs.0 as usize..event.attrs.1 as usize]
-            .iter()
-            .map(|span| Attribute {
-                name: &self.arena[span.name.0 as usize..span.name.1 as usize],
-                value: std::borrow::Cow::Borrowed(
-                    &self.arena[span.value.0 as usize..span.value.1 as usize],
-                ),
-            })
+        let start = event.attr_start as usize;
+        let end = if event.attr_count == WIDE_ATTRS {
+            let i = self
+                .wide_attrs
+                .binary_search_by_key(&event.attr_start, |&(start, _)| start)
+                .expect("a wide attribute range is recorded");
+            self.wide_attrs[i].1 as usize
+        } else {
+            start + event.attr_count as usize
+        };
+        self.attrs[start..end].iter().map(|span| Attribute {
+            name: &self.arena[span.name.0 as usize..span.name.1 as usize],
+            value: std::borrow::Cow::Borrowed(
+                &self.arena[span.value.0 as usize..span.value.1 as usize],
+            ),
+        })
     }
 
     fn intern(&mut self, s: &str) -> (u32, u32) {
@@ -164,7 +197,7 @@ impl EventBatch {
 
     fn push_start(&mut self, sym: Symbol, tag: &StartTag<'_>, decode_attrs: bool) -> SaxResult<()> {
         let text = self.intern(tag.name());
-        let attr_start = self.attrs.len() as u32;
+        let attr_start = self.attrs.len();
         if decode_attrs {
             for attr in tag.attributes() {
                 let attr = attr?;
@@ -173,13 +206,23 @@ impl EventBatch {
                 self.attrs.push(AttrSpan { name, value });
             }
         }
+        let attr_start = u32::try_from(attr_start).expect("batch attribute table overflow");
+        let attr_count = match u16::try_from(self.attrs.len() - attr_start as usize) {
+            Ok(count) if count < WIDE_ATTRS => count,
+            _ => {
+                let end = u32::try_from(self.attrs.len()).expect("batch attribute table overflow");
+                self.wide_attrs.push((attr_start, end));
+                WIDE_ATTRS
+            }
+        };
         self.events.push(BatchEvent {
             kind: BatchEventKind::Start,
             level: tag.level(),
             sym,
             id: tag.id().get(),
             text,
-            attrs: (attr_start, self.attrs.len() as u32),
+            attr_start,
+            attr_count,
         });
         Ok(())
     }
@@ -192,7 +235,8 @@ impl EventBatch {
             sym,
             id: 0,
             text,
-            attrs: (0, 0),
+            attr_start: 0,
+            attr_count: 0,
         });
     }
 
@@ -204,7 +248,8 @@ impl EventBatch {
             sym: Symbol::UNKNOWN,
             id: 0,
             text,
-            attrs: (0, 0),
+            attr_start: 0,
+            attr_count: 0,
         });
     }
 }
@@ -270,9 +315,10 @@ impl BatchPlan {
 pub struct BatchProducer<R> {
     reader: SaxReader<R>,
     plan: BatchPlan,
-    /// Was each currently-open element delivered? Length is the current
-    /// element depth; the top gates text delivery, pops gate end tags.
-    open_delivered: Vec<bool>,
+    /// Each currently-open element: was it delivered, and its symbol.
+    /// Length is the current element depth; the top gates text
+    /// delivery, a pop gates an end tag and gives it its symbol.
+    open: Vec<(bool, Symbol)>,
     done: bool,
 }
 
@@ -282,7 +328,7 @@ impl<R: Read> BatchProducer<R> {
         BatchProducer {
             reader,
             plan,
-            open_delivered: Vec::new(),
+            open: Vec::new(),
             done: false,
         }
     }
@@ -333,7 +379,7 @@ impl<R: Read> BatchProducer<R> {
                 Event::Start(tag) => {
                     let sym = self.plan.table.lookup(tag.name());
                     let deliver = self.plan.is_relevant(sym, tag.level());
-                    self.open_delivered.push(deliver);
+                    self.open.push((deliver, sym));
                     if deliver {
                         let decode = self.plan.wants_attrs(sym);
                         batch.push_start(sym, &tag, decode)?;
@@ -344,21 +390,21 @@ impl<R: Read> BatchProducer<R> {
                 }
                 Event::End(tag) => {
                     // Mirror the start's decision exactly, so engines see
-                    // balanced pairs.
-                    let deliver = self.open_delivered.pop().unwrap_or(true);
+                    // balanced pairs, under the start's symbol: the reader
+                    // has checked that the names match.
+                    let (deliver, sym) = self.open.pop().expect("the reader balances tags");
                     if deliver {
-                        let sym = self.plan.table.lookup(tag.name());
+                        debug_assert_eq!(sym, self.plan.table.lookup(tag.name()));
                         batch.push_end(sym, tag.name(), tag.level());
                     } else {
                         batch.filtered += 1;
                     }
                 }
                 Event::Text(text) => {
-                    // `open_delivered.len()` is the element depth: the
-                    // level of the element that contains this text.
-                    let level = self.open_delivered.len() as u32;
-                    let deliver = self.plan.wants_text
-                        && self.open_delivered.last().copied().unwrap_or(false);
+                    // `open.len()` is the element depth: the level of the
+                    // element that contains this text.
+                    let level = self.open.len() as u32;
+                    let deliver = self.plan.wants_text && self.open.last().is_some_and(|&(d, _)| d);
                     if deliver {
                         batch.push_text(&text, level);
                     } else {
@@ -515,6 +561,93 @@ mod tests {
         }
         let (events, _, _) = drain(xml, plan, 64);
         assert_eq!(events, ["<a 1 #0 []", "<b 2 #1 [y=2]", ">b 2", ">a 1",]);
+    }
+
+    /// Every delivered end tag, with the symbol it carries.
+    fn end_symbols(xml: &[u8], plan: BatchPlan) -> Vec<(String, Symbol)> {
+        let mut producer = BatchProducer::new(SaxReader::from_bytes(xml), plan);
+        let mut batch = EventBatch::new();
+        let mut ends = Vec::new();
+        while producer.next_batch(&mut batch, 2).unwrap() {
+            for ev in batch.events() {
+                if ev.kind == BatchEventKind::End {
+                    ends.push((batch.str_of(ev).to_string(), ev.sym));
+                }
+            }
+        }
+        ends
+    }
+
+    #[test]
+    fn end_tags_carry_their_start_symbol() {
+        // `skip` is filtered with everything in it but the relevant `b`;
+        // `zz` is delivered (it sits at the root level) but uninterned.
+        let xml = b"<a><skip><b/><skip/></skip><b></b><c/></a>";
+        let mut plan = full_plan(xml);
+        let (a, b, c) = (
+            plan.table.lookup("a"),
+            plan.table.lookup("b"),
+            plan.table.lookup("c"),
+        );
+        let mut rel = vec![false; plan.table.len()];
+        for sym in [a, b, c] {
+            rel[sym.index().unwrap()] = true;
+        }
+        plan.relevant = Some(rel);
+        let ends = end_symbols(xml, plan.clone());
+        let want = |names: &[(&str, Symbol)]| -> Vec<(String, Symbol)> {
+            names.iter().map(|&(n, s)| (n.to_string(), s)).collect()
+        };
+        // The filtered `skip` end tags pop their own entries, so the
+        // delivered ends after them still pair with their starts.
+        assert_eq!(ends, want(&[("b", b), ("b", b), ("c", c), ("a", a)]));
+        // Without the prefilter every end is delivered, an unknown tag
+        // under UNKNOWN.
+        plan.relevant = None;
+        let xml = b"<a><zz><b/></zz></a>";
+        assert_eq!(
+            end_symbols(xml, plan),
+            want(&[("b", b), ("zz", Symbol::UNKNOWN), ("a", a)])
+        );
+    }
+
+    #[test]
+    fn records_stay_at_32_bytes() {
+        assert_eq!(std::mem::size_of::<BatchEvent>(), 32);
+    }
+
+    #[test]
+    fn a_tag_with_more_attributes_than_a_count_holds_keeps_them_all() {
+        // Built by hand: the reader's duplicate-name check is quadratic in
+        // the attribute count, and this is a test of the batch.
+        let mut attr_text = String::new();
+        for i in 0..70_000 {
+            attr_text.push_str(&format!(" x{i}=\"{i}\""));
+        }
+        let tag = |attr_text| StartTag {
+            name: "a",
+            attr_text,
+            offset: 0,
+            level: 2,
+            id: crate::NodeId::new(1),
+            entities: None,
+        };
+        let mut batch = EventBatch::new();
+        batch.push_start(Symbol::UNKNOWN, &tag(""), true).unwrap();
+        batch
+            .push_start(Symbol::UNKNOWN, &tag(&attr_text), true)
+            .unwrap();
+        batch
+            .push_start(Symbol::UNKNOWN, &tag(" y=\"1\""), true)
+            .unwrap();
+        let counts: Vec<usize> = batch
+            .events()
+            .iter()
+            .map(|ev| batch.attrs_of(ev).count())
+            .collect();
+        assert_eq!(counts, [0, 70_000, 1]);
+        let last = batch.attrs_of(&batch.events()[1]).last().unwrap();
+        assert_eq!((last.name, &*last.value), ("x69999", "69999"));
     }
 
     #[test]

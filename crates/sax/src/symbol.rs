@@ -152,6 +152,14 @@ impl SymbolTable {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
+
+    /// The symbol each of this table's names has in `to`, indexed by
+    /// [`Symbol::index`] here; a name `to` lacks maps to
+    /// [`Symbol::UNKNOWN`]. A dense array that converts symbols between
+    /// two tables with one load instead of one hash per name.
+    pub fn translation(&self, to: &SymbolTable) -> Vec<Symbol> {
+        self.names.iter().map(|name| to.lookup(name)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -196,5 +204,21 @@ mod tests {
         let s = t.intern("x");
         let snapshot = t.clone();
         assert_eq!(snapshot.lookup("x"), s);
+    }
+
+    #[test]
+    fn translation_maps_by_name() {
+        let mut from = SymbolTable::new();
+        for name in ["a", "b", "c"] {
+            from.intern(name);
+        }
+        let mut to = SymbolTable::new();
+        let c = to.intern("c");
+        let a = to.intern("a");
+        assert_eq!(from.translation(&to), [a, Symbol::UNKNOWN, c]);
+        assert!(from
+            .translation(&SymbolTable::new())
+            .iter()
+            .all(|s| !s.is_known()));
     }
 }

@@ -87,8 +87,8 @@ pub fn run_engine_chunked<E: StreamEngine>(
 /// events. With `relookup` off the batches are produced under the
 /// engine's own table and applied with [`StreamEngine::apply_batch`].
 /// With it on they are produced under a table that numbers the names
-/// differently, and each name is looked up again in the engine's table,
-/// as the sharded workers do.
+/// differently, and each stored symbol is converted through that
+/// table's translation into the engine's, as the sharded workers do.
 pub fn run_engine_batched<E: StreamEngine>(
     mut engine: E,
     xml: &[u8],
@@ -106,12 +106,13 @@ pub fn run_engine_batched<E: StreamEngine>(
         own.clone()
     };
     let projection = engine.projection().map(|p| p.remap(&own, &plan_table));
+    let remap = plan_table.translation(&own);
     let reader = SaxReader::new(xml).with_projection(projection);
     let mut producer = BatchProducer::new(reader, BatchPlan::deliver_all(plan_table));
     let mut batch = EventBatch::new();
     while producer.next_batch(&mut batch, DEFAULT_BATCH_EVENTS)? {
         if relookup {
-            replay_batch(&mut engine, &batch, Some(&own));
+            replay_batch(&mut engine, &batch, Some(&remap));
         } else {
             engine.apply_batch(&batch);
         }
