@@ -138,6 +138,17 @@ impl EventBatch {
         EventBatch::default()
     }
 
+    /// An empty batch with room for `events` events and `text_bytes`
+    /// bytes of names and text, so that filling it to that size does
+    /// not regrow (and copy) its buffers.
+    pub fn with_capacity(events: usize, text_bytes: usize) -> EventBatch {
+        EventBatch {
+            events: Vec::with_capacity(events),
+            arena: String::with_capacity(text_bytes),
+            ..EventBatch::default()
+        }
+    }
+
     /// Clears the batch, keeping its allocations for reuse.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -156,6 +167,11 @@ impl EventBatch {
     /// Whether the batch holds no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Bytes of names, text and decoded attributes the batch holds.
+    pub fn text_bytes(&self) -> usize {
+        self.arena.len()
     }
 
     /// The event records.
