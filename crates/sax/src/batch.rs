@@ -6,7 +6,7 @@
 //! [`EventBatch`]es — 32-byte interned-symbol records in a flat arena,
 //! no per-event allocation — and ships whole batches across a bounded
 //! channel, so the per-event synchronization cost is amortized over
-//! a thousand events.
+//! thousands of events.
 //!
 //! A [`BatchPlan`] tells the producer everything it needs to know about
 //! the consuming engine *without touching the engine*: a clone of the
@@ -50,14 +50,15 @@ use crate::symbol::{Symbol, SymbolTable};
 /// Default number of events per batch.
 ///
 /// A consumer sees nothing of a batch until the producer has filled
-/// it, so the batch size is also how long the pipeline takes to start
-/// and how late a decided result can be. 1024 events (32 KiB of
-/// records plus their text) is the smallest size at which the
-/// per-batch channel hand-off stays out of the CPU time: 512 cost ~8%
-/// more CPU per MiB, while 4096 held a quarter of a 256 KiB document
-/// back before the consumer could start and kept four times the
-/// memory in flight. The sweep is in docs/performance.md.
-pub const DEFAULT_BATCH_EVENTS: usize = 1024;
+/// it, and up to `queue_depth + 2` batches are in flight, so the batch
+/// size sets the pipeline's start-up delay, how late a decided result
+/// can be, and most of the threaded peak heap. Against 4096, 2048
+/// events (64 KiB of records plus their text) took a third off the
+/// peak heap of a two-thread auction union at no measurable cost in
+/// time or CPU. 1024 halved it, but for 6–14% more CPU per MiB: the
+/// consumer of a producer-bound pipeline sleeps and wakes once per
+/// batch. The sweep is in docs/performance.md.
+pub const DEFAULT_BATCH_EVENTS: usize = 2048;
 
 /// What a [`BatchEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
