@@ -52,13 +52,12 @@ use crate::symbol::{Symbol, SymbolTable};
 /// A consumer sees nothing of a batch until the producer has filled
 /// it, and up to `queue_depth + 2` batches are in flight, so the batch
 /// size sets the pipeline's start-up delay, how late a decided result
-/// can be, and most of the threaded peak heap. Against 4096, 2048
-/// events (64 KiB of records plus their text) took a third off the
-/// peak heap of a two-thread auction union at no measurable cost in
-/// time or CPU. 1024 halved it, but for 6–14% more CPU per MiB: the
-/// consumer of a producer-bound pipeline sleeps and wakes once per
-/// batch. The sweep is in docs/performance.md.
-pub const DEFAULT_BATCH_EVENTS: usize = 2048;
+/// can be, and most of the threaded peak heap. Against 4096, 1024
+/// events (32 KiB of records plus their text) halved the peak heap of
+/// a two-thread auction union and ran it ~10% faster for the same CPU,
+/// with every size built into one binary; 512 cost ~3% more CPU from
+/// the consumer's extra wake-ups. The sweep is in docs/performance.md.
+pub const DEFAULT_BATCH_EVENTS: usize = 1024;
 
 /// What a [`BatchEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
