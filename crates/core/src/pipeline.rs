@@ -377,7 +377,7 @@ pub struct ShardedOutcome {
     /// same query set.
     pub ids: Vec<NodeId>,
     /// Engine counters merged across shards as [`EngineStats::merge`]
-    /// adds up documents, with three exceptions. `start_events` and
+    /// adds up documents, with two exceptions. `start_events` and
     /// `end_events` are counted once: every shard sees the same
     /// delivered events. `peak_entries` and `peak_candidates` are the
     /// *sum* of the shard peaks, not their maximum: the shards hold

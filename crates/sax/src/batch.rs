@@ -628,11 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn records_stay_at_32_bytes() {
-        assert_eq!(std::mem::size_of::<BatchEvent>(), 32);
-    }
-
-    #[test]
     fn a_tag_with_more_attributes_than_a_count_holds_keeps_them_all() {
         // Built by hand: the reader's duplicate-name check is quadratic in
         // the attribute count, and this is a test of the batch.
