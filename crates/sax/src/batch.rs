@@ -54,9 +54,10 @@ use crate::symbol::{Symbol, SymbolTable};
 /// size sets the pipeline's start-up delay, how late a decided result
 /// can be, and most of the threaded peak heap. Against 4096, 1024
 /// events (32 KiB of records plus their text) halved the peak heap of
-/// a two-thread auction union and ran it ~10% faster for the same CPU,
-/// with every size built into one binary; 512 cost ~3% more CPU from
-/// the consumer's extra wake-ups. The sweep is in docs/performance.md.
+/// a two-thread auction union and, with every size built into one
+/// binary, ran it ~10% faster. Each batch can cost the consumer one
+/// sleep and wake-up, which the benchmark reads as more CPU per MiB.
+/// The sweep is in docs/performance.md.
 pub const DEFAULT_BATCH_EVENTS: usize = 1024;
 
 /// What a [`BatchEvent`] records.
