@@ -40,7 +40,7 @@ use twigm_xpath::{parse_union, Path};
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Allowance for what a threaded run allocates besides batches and
-/// engine state: thread handles, channels, `Arc` headers, the plan's
+/// engine state: thread handles, queues, `Arc` headers, the plan's
 /// copy of the symbol table, the per-consumer symbol remaps.
 const SLACK: u64 = 32 << 10;
 

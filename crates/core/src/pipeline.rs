@@ -12,11 +12,12 @@
 //!   which no consumer's query node can match (the union of the
 //!   consumers' [`StreamEngine::projection`]s over the plan's table),
 //!   and the symbol-relevance **prefilter** drops events no consumer can
-//!   dispatch on, so neither crosses a channel;
+//!   dispatch on, so neither crosses a queue;
 //! * it **broadcasts** each batch, behind an `Arc`, to K bounded
-//!   channels, one per consumer (backpressure: the producer blocks when
+//!   queues, one per consumer (backpressure: the producer blocks when
 //!   any consumer lags). Whichever consumer drops the last reference
-//!   frees the batch, so live batch memory is only what is in flight;
+//!   frees the batch, so live batch memory is only what is in flight.
+//!   A side that must wait sleeps at once (see [`Queue`]);
 //! * the producer thread returns its counters, or the scan error that
 //!   ended the stream, through its `JoinHandle`;
 //! * **consumer 0 is the calling thread**, so a single-query engine need
@@ -33,17 +34,16 @@
 //! `Some(remap)`). Shard results are merged deterministically in
 //! document order.
 //!
-//! End-to-end time becomes `max(parse, evaluate)` plus channel overhead
+//! End-to-end time becomes `max(parse, evaluate)` plus hand-off overhead
 //! instead of `parse + evaluate`, and the prefilter shrinks the
 //! `evaluate` term further. Every configuration returns byte-identical
 //! results, and the same scan error, as the serial driver; the
 //! differential suite in `twigm-testkit` enforces this over the
 //! generator corpus.
 
+use std::collections::VecDeque;
 use std::io::Read;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
@@ -59,7 +59,7 @@ use crate::stats::EngineStats;
 pub struct PipelineOptions {
     /// Events per batch (default [`DEFAULT_BATCH_EVENTS`]).
     pub batch_events: usize,
-    /// Bounded-channel capacity in batches; the producer can run at most
+    /// Queue capacity in batches; the producer can run at most
     /// this far ahead of the slowest consumer.
     pub queue_depth: usize,
     /// Apply the symbol-relevance prefilter and the path projection at
@@ -84,7 +84,7 @@ impl Default for PipelineOptions {
 pub struct PipelineStats {
     /// Threads that touched the stream (producer + consumers).
     pub threads: usize,
-    /// Batches shipped across the channel.
+    /// Batches handed to the consumers.
     pub batches: u64,
     /// Reader events scanned by the producer.
     pub events_scanned: u64,
@@ -183,8 +183,132 @@ fn plan_for(consumers: &[&dyn StreamEngine], prefilter: bool) -> (BatchPlan, Opt
     (plan, projection)
 }
 
+/// The bounded queue of batches between the producer and one consumer.
+///
+/// A consumer that outpaces its producer finds its queue empty once per
+/// batch. `std::sync::mpsc` spins and yields before a receiver sleeps,
+/// so every such wait burnt CPU on top of the sleep and wake-up. Here a
+/// side that must wait sleeps on a condition variable at once, and the
+/// other side signals only when that side is asleep.
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled when a batch arrives or the producer leaves.
+    filled: Condvar,
+    /// Signalled when a batch is taken or the consumer leaves.
+    drained: Condvar,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct QueueState {
+    batches: VecDeque<Arc<EventBatch>>,
+    /// The producer is done: no batch follows those queued.
+    closed: bool,
+    /// The consumer is gone: nothing queued will be taken.
+    abandoned: bool,
+    consumer_asleep: bool,
+    producer_asleep: bool,
+}
+
+impl Queue {
+    fn new(capacity: usize) -> Queue {
+        Queue {
+            state: Mutex::new(QueueState::default()),
+            filled: Condvar::new(),
+            drained: Condvar::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// The state behind the lock. Every critical section leaves it
+    /// consistent, so a panic elsewhere in a holder's thread cannot
+    /// corrupt it.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `batch`, sampling the depth first so the batch being
+    /// handed over counts, and blocking while the queue is full.
+    /// `false` when the consumer is gone.
+    fn push(&self, batch: Arc<EventBatch>, stats: &mut PipelineStats) -> bool {
+        let mut state = self.lock();
+        stats.max_queue_depth = stats.max_queue_depth.max(state.batches.len() as u64 + 1);
+        if state.batches.len() >= self.capacity && !state.abandoned {
+            stats.producer_stalls += 1;
+            state.producer_asleep = true;
+            while state.batches.len() >= self.capacity && !state.abandoned {
+                state = self
+                    .drained
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.producer_asleep = false;
+        }
+        if state.abandoned {
+            return false;
+        }
+        state.batches.push_back(batch);
+        let wake = state.consumer_asleep;
+        drop(state);
+        if wake {
+            self.filled.notify_one();
+        }
+        true
+    }
+
+    /// Takes the next batch, blocking while the queue is empty and the
+    /// producer still running; `None` once the producer is done and the
+    /// queue is drained. Counts each wait in `stalls`.
+    fn pop(&self, stalls: &mut u64) -> Option<Arc<EventBatch>> {
+        let mut state = self.lock();
+        if state.batches.is_empty() && !state.closed {
+            *stalls += 1;
+            state.consumer_asleep = true;
+            while state.batches.is_empty() && !state.closed {
+                state = self
+                    .filled
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.consumer_asleep = false;
+        }
+        let batch = state.batches.pop_front()?;
+        let wake = state.producer_asleep;
+        drop(state);
+        if wake {
+            self.drained.notify_one();
+        }
+        Some(batch)
+    }
+}
+
+/// The producer's end of a [`Queue`]; dropping it, on any path out of
+/// the producer, tells the consumer no batch follows.
+struct Sender<'q>(&'q Queue);
+
+impl Drop for Sender<'_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.filled.notify_one();
+    }
+}
+
+/// The consumer's end of a [`Queue`]; dropping it, as a consumer that
+/// panics does, releases a producer blocked on a full queue.
+struct Receiver<'q>(&'q Queue);
+
+impl Drop for Receiver<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.abandoned = true;
+        state.batches.clear();
+        drop(state);
+        self.0.drained.notify_one();
+    }
+}
+
 /// The producer loop: scans `src` under `plan` and broadcasts every
-/// batch to each channel in `txs`. Returns every [`PipelineStats`]
+/// batch to each queue in `txs`. Returns every [`PipelineStats`]
 /// counter it owns (all but `threads` and `consumer_stalls`), or the
 /// scan error that ended the stream.
 ///
@@ -197,24 +321,19 @@ fn produce<R: Read>(
     src: R,
     (plan, projection): (BatchPlan, Option<Projection>),
     batch_events: usize,
-    txs: Vec<SyncSender<Arc<EventBatch>>>,
-    received: &[AtomicU64],
+    txs: Vec<Sender<'_>>,
 ) -> Result<PipelineStats, SaxError> {
     let reader = SaxReader::new(src).with_projection(projection);
     let mut producer = BatchProducer::new(reader, plan);
     let mut stats = PipelineStats::default();
-    let mut last = (0, 0);
     loop {
         // A fresh batch each time, freed when its last consumer drops it:
         // a recycling pool would keep a full batch parked while the next
-        // one fills, which raises the peak heap by about a batch. It is
-        // sized like the last one, with an eighth more text, so it fills
-        // without regrowing its buffers.
-        let mut batch = EventBatch::with_capacity(last.0, last.1 + last.1 / 8);
+        // one fills, which raises the peak heap by about a batch.
+        let mut batch = EventBatch::new();
         if !producer.next_batch(&mut batch, batch_events)? {
             break;
         }
-        last = (batch.len(), batch.text_bytes());
         stats.batches += 1;
         stats.events_scanned += batch.scanned;
         stats.events_filtered += batch.filtered;
@@ -222,8 +341,7 @@ fn produce<R: Read>(
         let batch = Arc::new(batch);
         let handed = txs
             .iter()
-            .zip(received)
-            .all(|(tx, r)| hand_off(tx, Arc::clone(&batch), r, &mut stats));
+            .all(|tx| tx.0.push(Arc::clone(&batch), &mut stats));
         if !handed {
             break;
         }
@@ -232,29 +350,8 @@ fn produce<R: Read>(
     stats.events_skipped = producer.events_skipped();
     stats.bytes_skipped = producer.bytes_skipped();
     stats.max_depth = producer.max_depth();
-    // Dropping `txs` closes every consumer channel.
+    // Dropping `txs` closes every consumer queue.
     Ok(stats)
-}
-
-/// Hands one batch reference to a consumer, sampling its queue depth
-/// first so the batch being handed over counts. `false` when the
-/// consumer is gone.
-fn hand_off(
-    tx: &SyncSender<Arc<EventBatch>>,
-    batch: Arc<EventBatch>,
-    received: &AtomicU64,
-    stats: &mut PipelineStats,
-) -> bool {
-    let in_flight = stats.batches - received.load(Ordering::Relaxed);
-    stats.max_queue_depth = stats.max_queue_depth.max(in_flight);
-    match tx.try_send(batch) {
-        Ok(()) => true,
-        Err(TrySendError::Full(batch)) => {
-            stats.producer_stalls += 1;
-            tx.send(batch).is_ok()
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    }
 }
 
 /// The consumer loop: applies every batch from `rx` to `engine`. With
@@ -263,24 +360,11 @@ fn hand_off(
 /// Returns the number of times the queue was empty.
 fn consume<E: StreamEngine + ?Sized>(
     engine: &mut E,
-    rx: Receiver<Arc<EventBatch>>,
+    rx: Receiver<'_>,
     remap: Option<Vec<Symbol>>,
-    received: &AtomicU64,
 ) -> u64 {
     let mut stalls = 0;
-    loop {
-        let batch = match rx.try_recv() {
-            Ok(batch) => batch,
-            Err(TryRecvError::Empty) => {
-                stalls += 1;
-                match rx.recv() {
-                    Ok(batch) => batch,
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
-        received.fetch_add(1, Ordering::Relaxed);
+    while let Some(batch) = rx.0.pop(&mut stalls) {
         match &remap {
             None => engine.apply_batch(&batch),
             Some(remap) => replay_batch(engine, &batch, Some(remap)),
@@ -315,27 +399,25 @@ fn run_batched<E: StreamEngine, R: Read + Send>(
     let batch_events = opts.batch_events.max(1);
     let queue_depth = opts.queue_depth.max(1);
 
-    let (txs, mut rxs): (Vec<_>, Vec<_>) =
-        (0..consumers).map(|_| sync_channel(queue_depth)).unzip();
-    let received: Vec<AtomicU64> = (0..consumers).map(|_| AtomicU64::new(0)).collect();
-    let first_rx = rxs.remove(0);
+    let queues: Vec<Queue> = (0..consumers).map(|_| Queue::new(queue_depth)).collect();
+    let txs = queues.iter().map(Sender).collect();
+    let mut rxs = queues.iter().map(Receiver);
+    let first_rx = rxs.next().expect("at least one consumer");
 
     thread::scope(|scope| {
-        let received = &received[..];
-        let producer = scope.spawn(move || produce(src, plan, batch_events, txs, received));
+        let producer = scope.spawn(move || produce(src, plan, batch_events, txs));
         let handles: Vec<_> = workers
             .into_iter()
             .zip(worker_remaps)
             .zip(rxs)
-            .zip(&received[1..])
-            .map(|(((mut worker, remap), rx), received)| {
+            .map(|((mut worker, remap), rx)| {
                 scope.spawn(move || {
-                    let stalls = consume(&mut worker, rx, remap, received);
+                    let stalls = consume(&mut worker, rx, remap);
                     (worker, stalls)
                 })
             })
             .collect();
-        let mut consumer_stalls = consume(first, first_rx, first_remap, &received[0]);
+        let mut consumer_stalls = consume(first, first_rx, first_remap);
         let workers = handles
             .into_iter()
             .map(|h| {
@@ -514,6 +596,71 @@ mod tests {
         assert_eq!(
             pipelined_ids("//a[c]/b", &xml, &opts),
             serial_ids("//a[c]/b", &xml)
+        );
+    }
+
+    /// A batch told apart from the others by its `scanned` count.
+    fn numbered(n: u64) -> Arc<EventBatch> {
+        let mut batch = EventBatch::new();
+        batch.scanned = n;
+        Arc::new(batch)
+    }
+
+    #[test]
+    fn queue_hands_over_in_order_then_ends() {
+        let queue = Queue::new(1);
+        let mut stats = PipelineStats::default();
+        let mut stalls = 0;
+        let mut seen = Vec::new();
+        thread::scope(|scope| {
+            let tx = Sender(&queue);
+            let stats = &mut stats;
+            scope.spawn(move || {
+                for n in 0..50 {
+                    assert!(tx.0.push(numbered(n), stats));
+                }
+                drop(tx);
+            });
+            let rx = Receiver(&queue);
+            while let Some(batch) = rx.0.pop(&mut stalls) {
+                seen.push(batch.scanned);
+            }
+        });
+        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        assert!(
+            stats.max_queue_depth <= 2,
+            "one queued plus the one handed over"
+        );
+        assert!(
+            stats.producer_stalls <= 50 && stalls <= 51,
+            "{stats:?} {stalls}"
+        );
+    }
+
+    #[test]
+    fn a_gone_consumer_releases_a_blocked_producer() {
+        let queue = Queue::new(1);
+        let rx = Receiver(&queue);
+        thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                let tx = Sender(&queue);
+                let mut stats = PipelineStats::default();
+                // The first fills the queue; the second blocks until the
+                // receiver goes, and is refused.
+                (
+                    tx.0.push(numbered(0), &mut stats),
+                    tx.0.push(numbered(1), &mut stats),
+                )
+            });
+            while queue.lock().batches.is_empty() {
+                thread::yield_now();
+            }
+            drop(rx);
+            assert_eq!(producer.join().unwrap(), (true, false));
+        });
+        assert!(
+            queue.lock().batches.is_empty(),
+            "a gone consumer's batches are freed"
         );
     }
 

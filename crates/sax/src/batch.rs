@@ -53,11 +53,11 @@ use crate::symbol::{Symbol, SymbolTable};
 /// it, and up to `queue_depth + 2` batches are in flight, so the batch
 /// size sets the pipeline's start-up delay, how late a decided result
 /// can be, and most of the threaded peak heap. Against 4096, 1024
-/// events (32 KiB of records plus their text) halved the peak heap of
-/// a two-thread auction union and, with every size built into one
-/// binary, ran it ~10% faster. Each batch can cost the consumer one
-/// sleep and wake-up, which the benchmark reads as more CPU per MiB.
-/// The sweep is in docs/performance.md.
+/// events (32 KiB of records plus their text) halve the peak heap of
+/// the two-thread auction union, and with every size in one binary
+/// (the `ablation_batch` bench) run it ~9% faster for 2–4% more CPU:
+/// a consumer with slack sleeps and wakes once per batch. The sweep is
+/// in docs/performance.md.
 pub const DEFAULT_BATCH_EVENTS: usize = 1024;
 
 /// What a [`BatchEvent`] records.
@@ -139,17 +139,6 @@ impl EventBatch {
         EventBatch::default()
     }
 
-    /// An empty batch with room for `events` events and `text_bytes`
-    /// bytes of names and text, so that filling it to that size does
-    /// not regrow (and copy) its buffers.
-    pub fn with_capacity(events: usize, text_bytes: usize) -> EventBatch {
-        EventBatch {
-            events: Vec::with_capacity(events),
-            arena: String::with_capacity(text_bytes),
-            ..EventBatch::default()
-        }
-    }
-
     /// Clears the batch, keeping its allocations for reuse.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -168,11 +157,6 @@ impl EventBatch {
     /// Whether the batch holds no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Bytes of names, text and decoded attributes the batch holds.
-    pub fn text_bytes(&self) -> usize {
-        self.arena.len()
     }
 
     /// The event records.
