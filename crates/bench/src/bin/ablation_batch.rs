@@ -60,7 +60,10 @@ fn process_cpu_time() -> Duration {
     // every Linux kernel supports.
     let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
     assert_eq!(rc, 0, "the process CPU clock is always readable");
-    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+    Duration::new(
+        u64::try_from(ts.tv_sec).expect("CPU time is not negative"),
+        u32::try_from(ts.tv_nsec).expect("nanoseconds are below one second"),
+    )
 }
 
 struct Args {
@@ -185,10 +188,11 @@ fn main() {
     }
 
     println!(
-        "Batch-size ablation: {} auction documents of {} KiB, {} rounds, 1-shard union",
+        "Batch-size ablation: {} auction documents of {} KiB, {} rounds, 1-shard union, {} CPUs",
         docs.len(),
         args.doc_bytes >> 10,
-        args.rounds
+        args.rounds,
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let widths = [7, 9, 11, 10, 12, 6, 11, 6];
     print_row(

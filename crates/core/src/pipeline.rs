@@ -628,12 +628,8 @@ mod tests {
         });
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
         assert!(
-            stats.max_queue_depth <= 2,
-            "one queued plus the one handed over"
-        );
-        assert!(
-            stats.producer_stalls <= 50 && stalls <= 51,
-            "{stats:?} {stalls}"
+            (1..=2).contains(&stats.max_queue_depth),
+            "at most one queued plus the one handed over: {stats:?}"
         );
     }
 
@@ -646,13 +642,13 @@ mod tests {
                 let tx = Sender(&queue);
                 let mut stats = PipelineStats::default();
                 // The first fills the queue; the second blocks until the
-                // receiver goes, and is refused.
+                // consumer's end goes, and is refused.
                 (
                     tx.0.push(numbered(0), &mut stats),
                     tx.0.push(numbered(1), &mut stats),
                 )
             });
-            while queue.lock().batches.is_empty() {
+            while !queue.lock().producer_asleep {
                 thread::yield_now();
             }
             drop(rx);
