@@ -320,6 +320,8 @@ pub struct BatchProducer<R> {
     /// Length is the current element depth; the top gates text
     /// delivery, a pop gates an end tag and gives it its symbol.
     open: Vec<(bool, Symbol)>,
+    /// Events and arena bytes of the last batch filled.
+    last_fill: (usize, usize),
     done: bool,
 }
 
@@ -330,6 +332,7 @@ impl<R: Read> BatchProducer<R> {
             reader,
             plan,
             open: Vec::new(),
+            last_fill: (0, 0),
             done: false,
         }
     }
@@ -370,6 +373,12 @@ impl<R: Read> BatchProducer<R> {
         if self.done {
             return Ok(false);
         }
+        // A fresh batch gets room for as many events and an eighth more
+        // text than the last one held, so it fills without regrowing and
+        // copying its buffers; a reused batch has the room already.
+        let (events, text) = self.last_fill;
+        batch.events.reserve(events);
+        batch.arena.reserve(text + text / 8);
         while batch.len() < max_events {
             let Some(event) = self.reader.next_event()? else {
                 self.done = true;
@@ -419,6 +428,7 @@ impl<R: Read> BatchProducer<R> {
                 }
             }
         }
+        self.last_fill = (batch.len(), batch.arena.len());
         Ok(!batch.is_empty() || batch.scanned > 0 || !self.done)
     }
 }
