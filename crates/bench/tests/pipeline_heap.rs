@@ -70,9 +70,11 @@ fn serial_peak(branches: &[Path], xml: &[u8]) -> u64 {
 }
 
 /// Heap of the largest batch the producer builds over `xml` at the
-/// default size, measured as what each batch frees when dropped. The
-/// plan delivers every event and decodes every attribute, so no batch
-/// of the prefiltered run is larger.
+/// default size, measured as what each batch frees when dropped. Each
+/// starts as a fresh `EventBatch`, as in the pipeline, so the producer
+/// sizes it by the same rule. The plan delivers every event and
+/// decodes every attribute, so no batch of the prefiltered run is
+/// larger.
 fn largest_batch(shards: &[MultiTwigM], xml: &[u8], batch_events: usize) -> u64 {
     let mut table = SymbolTable::new();
     for shard in shards {

@@ -55,9 +55,8 @@ use crate::symbol::{Symbol, SymbolTable};
 /// can be, and most of the threaded peak heap. Against 4096, 1024
 /// events (32 KiB of records plus their text) halve the peak heap of
 /// the two-thread auction union, and with every size in one binary
-/// (the `ablation_batch` bench) run it ~9% faster for 2–4% more CPU:
-/// a consumer with slack sleeps and wakes once per batch. The sweep is
-/// in docs/performance.md.
+/// (the `ablation_batch` bench) run it 10–13% faster for about the
+/// same CPU. The sweep is in docs/performance.md.
 pub const DEFAULT_BATCH_EVENTS: usize = 1024;
 
 /// What a [`BatchEvent`] records.
